@@ -10,8 +10,14 @@ y_k is an unbiased coin, any protocol whose answer ignores some y_k is blind
 guessing.  Forcing every message to carry its sender's y_k collapses the
 answer to the product form ``prod_k a_k(x_k) y_k`` with per-party sign
 functions a_k.  This module evaluates such product strategies exactly, and
-for small N certifies the reduction itself by enumerating ALL general
-message-table protocols, product form or not.
+for small N certifies the reduction itself over ALL general message-table
+protocols, product form or not: every sender table combination is
+enumerated, and the root's table, which enters the fidelity linearly, is
+maximised in closed form.
+
+Message passing has one implementation, :func:`_root_state`, which runs the
+senders over a batch of input rows; single runs, Monte Carlo estimates and
+the exhaustive search all go through it.
 
 Closed-form optima:
     task A:  F = 2^(1-K), K = ceil(N/2)         (success (1+F)/2, 5/8 at N=5)
@@ -152,85 +158,16 @@ class GeneralProtocolA:
 Strategy = ProductStrategyA | ProductStrategyB | GeneralProtocolA
 
 
-def run_protocol(protocol: Strategy, tree: CommTree, inputs: Sequence) -> int:
-    """Simulate the actual message passing for one input tuple.
+def _task_of(protocol: Strategy) -> Task:
+    return Task.B if isinstance(protocol, ProductStrategyB) else Task.A
 
-    Product strategies send e_k = y_k a_k(x_k) * (product of received bits);
-    general protocols look their message up in the table.  Returns the root's
-    announced sign.
-    """
-    n = tree.n_parties
-    if len(inputs) != n:
-        raise ValueError(f"expected {n} inputs, got {len(inputs)}")
+
+def _check_fit(protocol: Strategy, tree: CommTree) -> None:
     if isinstance(protocol, GeneralProtocolA):
         if protocol.tree != tree:
             raise ValueError("protocol was built for a different tree")
-        digits = [int(v) for v in inputs]
-        if any(d not in (0, 1, 2, 3) for d in digits):
-            raise ValueError("task A digits must lie in 0..3")
-        messages: dict[int, int] = {}
-        for k in (*tree.send_order(), n - 1):
-            recv = 0
-            for j, child in enumerate(sorted(tree.children(k))):
-                recv += ((1 - messages[child]) // 2) << j
-            messages[k] = int(protocol.tables[k][digits[k], recv])
-        return messages[n - 1]
-    task = Task.A if isinstance(protocol, ProductStrategyA) else Task.B
-    if protocol.n_parties != n:
+    elif protocol.n_parties != tree.n_parties:
         raise ValueError("strategy arity does not match tree")
-    reduced = decompose(task, inputs)
-    if isinstance(protocol, ProductStrategyA):
-        local = [int(protocol.signs[k, reduced.x[k]]) for k in range(n)]
-    else:
-        cells = protocol.cell_index(reduced.x)
-        local = [int(protocol.signs[k, cells[k]]) for k in range(n)]
-    messages = {}
-    for k in (*tree.send_order(), n - 1):
-        m = reduced.y[k] * local[k]
-        for child in tree.children(k):
-            m *= messages[child]
-        messages[k] = m
-    return messages[n - 1]
-
-
-def fidelity_exact_a(strategy: ProductStrategyA) -> float:
-    """Exact fidelity of a task A product strategy.
-
-    Sums (-1)^(sum x / 2) * prod_k a_k(x_k) over the 2^(N-1) even-parity bit
-    strings with uniform weight 2^(1-N).  All terms are dyadic, so the result
-    carries no rounding error and exact comparisons are safe.
-    """
-    n = strategy.n_parties
-    bits = enumerate_reduced_a(n)
-    prods = np.prod(
-        strategy.signs[np.arange(n)[None, :], bits], axis=1, dtype=np.float64
-    )
-    f = np.where((bits.sum(axis=1) // 2) % 2 == 1, -1.0, 1.0)
-    return abs(float(np.dot(f, prods))) * 2.0 ** (1 - n)
-
-
-def _cell_integrals(cells: int) -> np.ndarray:
-    """Exact integral of e^{ix} over each uniform cell of [0, pi)."""
-    edges = np.arange(cells + 1) * (math.pi / cells)
-    expo = np.exp(1j * edges)
-    return (expo[1:] - expo[:-1]) / 1j
-
-
-def _party_amplitudes(strategy: ProductStrategyB) -> np.ndarray:
-    return strategy.signs.astype(np.float64) @ _cell_integrals(strategy.cells)
-
-
-def fidelity_exact_b(strategy: ProductStrategyB) -> float:
-    """Exact fidelity of a task B product strategy.
-
-    The integrand cos(sum x) * prod a_k splits over parties as the real part
-    of prod_k z_k with z_k = sum_c a_k[c] * int_cell e^{ix} dx, so the
-    multi-dimensional integral is evaluated from per-cell antiderivatives
-    with no quadrature error beyond float rounding.
-    """
-    n = strategy.n_parties
-    z = _party_amplitudes(strategy)
-    return abs(float(np.prod(z).real)) / (2.0 * math.pi ** (n - 1))
 
 
 def _decompose_batch(task: Task, inputs: np.ndarray):
@@ -244,6 +181,93 @@ def _decompose_batch(task: Task, inputs: np.ndarray):
     return x, y
 
 
+def _root_state(tree: CommTree, tables, digits: np.ndarray) -> np.ndarray:
+    """Message passing over the rows of a (rows, N) task A digit array.
+
+    The senders speak in :meth:`CommTree.send_order`, each looking its bit up
+    in ``tables[k]`` at (digit, received).  Returns each row's root state
+    ``digit * 2^c + received``, the flat index into the root's (4, 2^c) table.
+    """
+    messages: dict[int, np.ndarray] = {}
+
+    def received(k: int) -> np.ndarray:
+        recv = np.zeros(len(digits), dtype=np.int64)
+        for j, child in enumerate(tree.children(k)):
+            recv += ((1 - messages[child]) // 2) << j
+        return recv
+
+    for k in tree.send_order():
+        messages[k] = tables[k][digits[:, k], received(k)]
+    root = tree.n_parties - 1
+    return (digits[:, root] << len(tree.children(root))) + received(root)
+
+
+def _answers(protocol: Strategy, tree: CommTree, inputs: np.ndarray) -> np.ndarray:
+    """The root's announced sign for each row of a (rows, N) input array.
+
+    A product strategy's answer does not depend on the tree: each message
+    multiplies in its sender's y_k a_k(x_k), so the root announces
+    prod(y) * prod(a_k(x_k)).
+    """
+    if isinstance(protocol, GeneralProtocolA):
+        return protocol.tables[-1].ravel()[_root_state(tree, protocol.tables, inputs)]
+    x, y = _decompose_batch(_task_of(protocol), inputs)
+    if isinstance(protocol, ProductStrategyB):
+        x = protocol.cell_index(x)
+    local = protocol.signs[np.arange(tree.n_parties)[None, :], x]
+    return np.prod(local, axis=1) * np.prod(y, axis=1)
+
+
+def run_protocol(protocol: Strategy, tree: CommTree, inputs: Sequence) -> int:
+    """The root's announced sign for one input tuple, as a one-row batch."""
+    if len(inputs) != tree.n_parties:
+        raise ValueError(f"expected {tree.n_parties} inputs, got {len(inputs)}")
+    _check_fit(protocol, tree)
+    task = _task_of(protocol)
+    decompose(task, inputs)  # rejects digits outside 0..3, phases outside [0, 2*pi)
+    row = np.array([inputs], dtype=np.int64 if task is Task.A else np.float64)
+    return int(_answers(protocol, tree, row)[0])
+
+
+def _fidelities_a(signs: np.ndarray) -> np.ndarray:
+    """Exact fidelities of a stack of task A product strategies, shape (S, N, 2).
+
+    Sums (-1)^(sum x / 2) * prod_k a_k(x_k) over the 2^(N-1) even-parity bit
+    strings with uniform weight 2^(1-N).  All terms are dyadic, so the result
+    carries no rounding error and exact comparisons are safe.
+    """
+    n = signs.shape[1]
+    bits = enumerate_reduced_a(n)
+    prods = np.prod(signs[:, np.arange(n)[None, :], bits], axis=2, dtype=np.float64)
+    f = np.where((bits.sum(axis=1) // 2) % 2 == 1, -1.0, 1.0)
+    return np.abs(prods @ f) * 2.0 ** (1 - n)
+
+
+def fidelity_exact_a(strategy: ProductStrategyA) -> float:
+    """Exact fidelity of a task A product strategy."""
+    return float(_fidelities_a(strategy.signs[None])[0])
+
+
+def _cell_integrals(cells: int) -> np.ndarray:
+    """Exact integral of e^{ix} over each uniform cell of [0, pi)."""
+    edges = np.arange(cells + 1) * (math.pi / cells)
+    expo = np.exp(1j * edges)
+    return (expo[1:] - expo[:-1]) / 1j
+
+
+def fidelity_exact_b(strategy: ProductStrategyB) -> float:
+    """Exact fidelity of a task B product strategy.
+
+    The integrand cos(sum x) * prod a_k splits over parties as the real part
+    of prod_k z_k with z_k = sum_c a_k[c] * int_cell e^{ix} dx, so the
+    multi-dimensional integral is evaluated from per-cell antiderivatives
+    with no quadrature error beyond float rounding.
+    """
+    n = strategy.n_parties
+    z = strategy.signs.astype(np.float64) @ _cell_integrals(strategy.cells)
+    return abs(float(np.prod(z).real)) / (2.0 * math.pi ** (n - 1))
+
+
 def fidelity_mc(
     protocol: Strategy,
     tree: CommTree,
@@ -253,32 +277,17 @@ def fidelity_mc(
 ) -> tuple[float, float]:
     """Monte Carlo fidelity |mean(T * answer)| with its binomial standard error.
 
-    Product strategies run fully vectorised; general protocols fall back to
-    the per-run message-passing simulator.
+    All n_samples input rows are drawn in one batch and answered together.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    wants = Task.B if isinstance(protocol, ProductStrategyB) else Task.A
+    wants = _task_of(protocol)
     if task is not wants:
         raise ValueError(f"{type(protocol).__name__} plays task {wants.value}")
-    if isinstance(protocol, (ProductStrategyA, ProductStrategyB)):
-        inputs = sample_inputs(task, tree.n_parties, rng, size=n_samples)
-        truth = task_value_batch(task, inputs)
-        x, y = _decompose_batch(task, inputs)
-        if isinstance(protocol, ProductStrategyA):
-            local = protocol.signs[np.arange(tree.n_parties)[None, :], x]
-        else:
-            cells = protocol.cell_index(x)
-            local = protocol.signs[np.arange(tree.n_parties)[None, :], cells]
-        answers = np.prod(local, axis=1) * np.prod(y, axis=1)
-    else:
-        truth = np.empty(n_samples, dtype=np.int64)
-        answers = np.empty(n_samples, dtype=np.int64)
-        for i in range(n_samples):
-            inputs = sample_inputs(task, tree.n_parties, rng)
-            truth[i] = task_value_batch(task, inputs[None, :])[0]
-            answers[i] = run_protocol(protocol, tree, inputs)
-    mean = float(np.mean(truth * answers))
+    _check_fit(protocol, tree)
+    inputs = sample_inputs(task, tree.n_parties, rng, size=n_samples)
+    truth = task_value_batch(task, inputs)
+    mean = float(np.mean(truth * _answers(protocol, tree, inputs)))
     stderr = math.sqrt(max(0.0, 1.0 - mean * mean) / n_samples)
     return abs(mean), stderr
 
@@ -303,14 +312,18 @@ def classical_bound(task: Task, n_parties: int) -> ClassicalBound:
 # --- exhaustive searches ---------------------------------------------------
 
 
+def _product_signs_a(index, n_parties: int) -> np.ndarray:
+    """Sign tables of product strategy indices: a_k(x) = -1 where bit 2k+x is set.
+
+    An integer index gives one (N, 2) table; an index array gives one per entry.
+    """
+    shifts = 2 * np.arange(n_parties)[:, None] + np.arange(2)[None, :]
+    return 1 - 2 * ((np.asarray(index, dtype=np.int64)[..., None, None] >> shifts) & 1)
+
+
 def product_strategy_a_from_index(index: int, n_parties: int) -> ProductStrategyA:
     """Decode one of the 4^N product strategies; party 0 is the low digit."""
-    signs = np.empty((n_parties, 2), dtype=np.int64)
-    for k in range(n_parties):
-        t = (index >> (2 * k)) & 3
-        signs[k, 0] = 1 - 2 * (t & 1)
-        signs[k, 1] = 1 - 2 * ((t >> 1) & 1)
-    return ProductStrategyA(signs)
+    return ProductStrategyA(_product_signs_a(index, n_parties))
 
 
 def exhaust_product_strategies_a(n_parties: int) -> tuple[np.ndarray, int]:
@@ -319,10 +332,7 @@ def exhaust_product_strategies_a(n_parties: int) -> tuple[np.ndarray, int]:
     Returns (fidelities over all 4^N indices, argmax index); ties resolve to
     the lowest index.
     """
-    total = 4**n_parties
-    fids = np.empty(total)
-    for idx in range(total):
-        fids[idx] = fidelity_exact_a(product_strategy_a_from_index(idx, n_parties))
+    fids = _fidelities_a(_product_signs_a(np.arange(4**n_parties), n_parties))
     return fids, int(np.argmax(fids))
 
 
@@ -340,70 +350,52 @@ def _decoded_tables(n_children: int) -> np.ndarray:
     return (1 - 2 * bits).reshape(-1, 4, 1 << n_children)
 
 
-def _table_from_int(value: int, n_children: int) -> np.ndarray:
-    n_entries = 4 << n_children
-    bits = (value >> np.arange(n_entries)) & 1
-    return (1 - 2 * bits).reshape(4, 1 << n_children)
+def _best_root(v: np.ndarray) -> np.ndarray:
+    """The root answers r maximising |sum_s r_s v_s|, lowest mask first.
+
+    Read as a mask with bit s set where r_s = -1, the maximisers are
+    mask(v < 0) and mask(v > 0), with r_s = +1 wherever v_s = 0.  The lower
+    of the two leaves the highest state with v_s != 0 clear, so r is sign(v)
+    times that state's sign.
+    """
+    nonzero = np.flatnonzero(v)
+    lead = np.sign(v[nonzero[-1]]) if nonzero.size else 1.0
+    return np.where(v * lead < 0, -1, 1)
 
 
 def brute_force_bound_a(tree: CommTree) -> BruteForceResult:
     """Certified task A maximum over ALL general one-bit protocols on a tree.
 
-    Every sender table combination is enumerated explicitly; for each one the
-    fidelity of every root table is evaluated (the root's entries enter the
-    fidelity linearly, so all 2^(4*2^c) values come from one subset-sum pass).
-    The search is exhaustive and exact in dyadic arithmetic, which certifies
-    both the bound and the product-form reduction at these sizes.  Ties go to
-    the lowest protocol index (sender digits high to low, then root table).
+    Every sender table combination is enumerated explicitly.  The root's table
+    r enters the fidelity linearly: with v_s the weighted sum of the target
+    over the input rows that reach root state s, it scores |sum_s r_s v_s|,
+    whose maximum over all 2^(4*2^c) root tables is exactly sum_s |v_s|,
+    reached by r = +-sign(v).  The root table is therefore maximised in
+    closed form rather than enumerated; ``search_space`` still counts every
+    protocol the search covers.  The arithmetic is exact in dyadic values,
+    which certifies both the bound and the product-form reduction at these
+    sizes.  Ties go to the lowest protocol index: sender tables high to low,
+    then the root table as a mask with bit s set where r_s = -1.
     """
     n = tree.n_parties
     if not 2 <= n <= BRUTE_FORCE_MAX_PARTIES:
         raise ValueError(f"brute force supports 2 <= N <= {BRUTE_FORCE_MAX_PARTIES}")
     tuples, weights = enumerate_a(n)
     tw = weights * task_value_batch(Task.A, tuples)
-    root = n - 1
-    senders = list(tree.send_order())
-    child_lists = {k: sorted(tree.children(k)) for k in range(n)}
-    sender_tables = {k: _decoded_tables(len(child_lists[k])) for k in senders}
-    root_dim = 4 << len(child_lists[root])
-    root_bits = (
-        np.arange(1 << root_dim)[:, None] >> np.arange(root_dim)[None, :]
-    ) & 1
-    search_space = (1 << root_dim) * math.prod(
-        len(sender_tables[k]) for k in senders
-    )
+    options = [_decoded_tables(len(tree.children(k))) for k in range(n - 1)]
+    root_dim = 4 << len(tree.children(n - 1))
+    search_space = (1 << root_dim) * math.prod(len(t) for t in options)
 
-    digit_cols = {k: tuples[:, k] for k in range(n)}
-    best_fid = -1.0
-    best_combo: tuple[int, ...] = ()
-    best_mask = 0
-    for combo in itertools.product(
-        *(range(len(sender_tables[k])) for k in sorted(senders))
-    ):
-        table_of = dict(zip(sorted(senders), combo))
-        messages: dict[int, np.ndarray] = {}
-        for k in senders:
-            recv = np.zeros(len(tuples), dtype=np.int64)
-            for j, child in enumerate(child_lists[k]):
-                recv += ((1 - messages[child]) // 2) << j
-            messages[k] = sender_tables[k][table_of[k]][digit_cols[k], recv]
-        recv = np.zeros(len(tuples), dtype=np.int64)
-        for j, child in enumerate(child_lists[root]):
-            recv += ((1 - messages[child]) // 2) << j
-        state = digit_cols[root] * (1 << len(child_lists[root])) + recv
+    best_fid, best_senders, best_v = -1.0, (), np.zeros(root_dim)
+    for senders in itertools.product(*options):
+        state = _root_state(tree, senders, tuples)
         v = np.bincount(state, weights=tw, minlength=root_dim)
-        fids = np.abs(v.sum() - 2.0 * (root_bits @ v))
-        mask = int(np.argmax(fids))
-        if fids[mask] > best_fid:
-            best_fid = float(fids[mask])
-            best_combo = combo
-            best_mask = mask
+        fid = float(np.abs(v).sum())
+        if fid > best_fid:
+            best_fid, best_senders, best_v = fid, senders, v
 
-    tables: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-    for k, t in zip(sorted(senders), best_combo):
-        tables[k] = _table_from_int(t, len(child_lists[k]))
-    tables[root] = _table_from_int(best_mask, len(child_lists[root]))
-    protocol = GeneralProtocolA(tree=tree, tables=tuple(tables))
+    root = _best_root(best_v).reshape(4, -1)
+    protocol = GeneralProtocolA(tree=tree, tables=(*best_senders, root))
     return BruteForceResult(best_fid, protocol, search_space)
 
 

@@ -74,10 +74,14 @@ def _emit(payload: dict, fmt: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _read_config(path: str | None) -> dict[str, str]:
-    if not path:
-        return {}
-    values: dict[str, str] = {}
+def _config_flags(path: str, known: set[str]) -> list[str]:
+    """A flat key=value file as ``--key=value`` flags; rejects unknown keys.
+
+    The flags are parsed ahead of the command line's own, so config values
+    pass the same types and choices and explicit flags win.
+    """
+    flags: list[str] = []
+    unknown: set[str] = set()
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -85,18 +89,20 @@ def _read_config(path: str | None) -> dict[str, str]:
         if "=" not in line:
             raise SystemExit(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = line.split("=", 1)
-        values[key.strip().replace("-", "_")] = value.strip()
-    return values
-
-
-def _resolve(args: argparse.Namespace, config: dict[str, str], casts: dict) -> None:
-    """Fill argparse None values from the config file; reject unknown keys."""
-    unknown = set(config) - set(casts)
+        key = key.strip().replace("-", "_")
+        if key not in known:
+            unknown.add(key)
+        flags.append(f"--{key.replace('_', '-')}={value.strip()}")
     if unknown:
         raise SystemExit(f"unknown config keys: {sorted(unknown)}")
-    for key, cast in casts.items():
-        if getattr(args, key, None) is None and key in config:
-            setattr(args, key, cast(config[key]))
+    return flags
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
 
 
 def _seed_of(args: argparse.Namespace) -> int:
@@ -110,15 +116,12 @@ def _seed_of(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    config = _read_config(args.config)
-    _resolve(args, config, {"task": str, "parties": int, "format": str, "out": str})
-    parties = args.parties if args.parties is not None else 5
-    if parties < 1:
+    if args.parties < 1:
         raise ValueError("parties must be >= 1")
     tasks = [Task(args.task)] if args.task else [Task.A, Task.B]
     rows = []
     for task in tasks:
-        for n in range(1, parties + 1):
+        for n in range(1, args.parties + 1):
             fid, success = classical_bound(task, n)
             qfid = quantum_fidelity(task, n)
             rows.append(
@@ -131,8 +134,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
                     "quantum_success": (1.0 + qfid) / 2.0,
                 }
             )
-    fmt = args.format or "structured-record"
-    if fmt == "structured-record":
+    if args.format == "structured-record":
         payload = {"schema": "qccp-bounds-v1", "rows": rows}
         text = _json_dumps(payload)
     else:
@@ -151,25 +153,21 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    config = _read_config(args.config)
-    _resolve(args, config, {"parties": int, "tree": str, "format": str, "out": str})
-    parties = args.parties or 3
-    tree_name = args.tree or "chain"
-    tree = CommTree.chain(parties) if tree_name == "chain" else CommTree.star(parties)
+    tree = CommTree.chain(args.parties) if args.tree == "chain" else CommTree.star(args.parties)
     result = brute_force_bound_a(tree)
-    closed = classical_bound(Task.A, parties).fidelity
+    closed = classical_bound(Task.A, args.parties).fidelity
     payload = {
         "schema": "qccp-certify-v1",
         "task": "A",
-        "n_parties": parties,
-        "tree": tree_name,
+        "n_parties": args.parties,
+        "tree": args.tree,
         "max_fidelity": result.max_fidelity,
         "closed_form": closed,
         "matches_closed_form": result.max_fidelity == closed,
         "search_space": result.search_space,
         "argmax_tables": [t.tolist() for t in result.protocol.tables],
     }
-    _emit(payload, args.format or "structured-record", args.out)
+    _emit(payload, args.format, args.out)
     return 0 if payload["matches_closed_form"] else 1
 
 
@@ -177,25 +175,16 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
-    config = _read_config(args.config)
-    _resolve(
-        args,
-        config,
-        {"parties": int, "grid": int, "restarts": int, "seed": int, "format": str, "out": str, "trace_out": str},
-    )
-    parties = args.parties or 5
-    grid = args.grid or 64
-    restarts = args.restarts or 20
     seed = _seed_of(args)
     rng = RandomStream(seed, 0).generator()
-    result = optimize_strategy_b(parties, grid, restarts, rng)
-    target = classical_bound(Task.B, parties).fidelity
+    result = optimize_strategy_b(args.parties, args.grid, args.restarts, rng)
+    target = classical_bound(Task.B, args.parties).fidelity
     payload = {
         "schema": "qccp-optimize-v1",
         "task": "B",
-        "n_parties": parties,
-        "grid_cells": grid,
-        "restarts": restarts,
+        "n_parties": args.parties,
+        "grid_cells": args.grid,
+        "restarts": args.restarts,
         "seed": seed,
         "best_fidelity": result.fidelity,
         "target_fidelity": target,
@@ -204,7 +193,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         "restart_fidelities": list(result.restart_fidelities),
         "best_strategy": result.strategy.signs.tolist(),
     }
-    _emit(payload, args.format or "structured-record", args.out)
+    _emit(payload, args.format, args.out)
     if args.trace_out:
         lines = ["# schema: qccp-trace-v1", "sweep\tfidelity"]
         lines += [f"{i}\t{fid!r}" for i, fid in enumerate(result.trace)]
@@ -272,32 +261,19 @@ def write_histogram_tsv(path: Path, histogram) -> None:
     for left, right, count in zip(
         histogram.bin_edges[:-1], histogram.bin_edges[1:], histogram.counts
     ):
-        lines.append(f"{left!r}\t{right!r}\t{count}")
+        lines.append(f"{float(left)!r}\t{float(right)!r}\t{count}")
     path.write_text("\n".join(lines) + "\n")
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    config = _read_config(args.config)
-    _resolve(
-        args,
-        config,
-        {
-            "task": str, "parties": int, "seed": int, "streams": int,
-            "n_target": int, "eta": float, "gamma": float, "visibility": float,
-            "trigger_rate": float, "window": float, "block_size": int,
-            "format": str, "out": str,
-        },
-    )
     if args.task is None:
         raise SystemExit("--task is required (A or B)")
     params = _experiment_params(args)
     seed = _seed_of(args)
-    streams = args.streams or 1
-    chunks = stream_runs(params, seed, streams)
+    chunks = stream_runs(params, seed, args.streams)
     records = [r for _, chunk in chunks for r in chunk]
     stats = success_stats(records)
     bound = classical_bound(params.task, params.n_parties)
-    block_size = args.block_size or 500
     payload = {
         "schema": "qccp-experiment-v1",
         "task": params.task.value,
@@ -309,22 +285,23 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         "gamma": params.gamma,
         "n_target": params.n_target,
         "seed": seed,
-        "streams": streams,
+        "streams": args.streams,
         "n_windows": len(records),
         "n_accepted": stats.n,
         "successes": stats.successes,
         "p_hat": stats.p_hat,
         "sigma": stats.sigma,
         "classical_success": bound.success,
-        "sigma_violation": sigma_violation(stats, bound.success),
+        # the ideal device has sigma 0; JSON has no infinity
+        "sigma_violation": sigma_violation(stats, bound.success) if stats.sigma > 0 else None,
         "predicted_success": predicted_success(params.eta, params.gamma),
     }
-    _emit(payload, args.format or "structured-record", args.out)
+    _emit(payload, args.format, args.out)
     if args.out:
         base = Path(args.out)
         write_records_tsv(base.with_suffix(base.suffix + ".records.tsv"), chunks, seed)
-        if stats.n >= block_size:
-            hist = block_histogram(records, block_size=block_size)
+        if stats.n >= args.block_size:
+            hist = block_histogram(records, block_size=args.block_size)
             write_histogram_tsv(base.with_suffix(base.suffix + ".histogram.tsv"), hist)
     return 0
 
@@ -445,8 +422,6 @@ def _reproduction_checks(seed: int) -> list[Check]:
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
-    config = _read_config(args.config)
-    _resolve(args, config, {"seed": int, "format": str, "out": str})
     seed = _seed_of(args)
     checks = _reproduction_checks(seed)
     all_passed = all(c.passed for c in checks)
@@ -469,8 +444,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
                 for c in checks
             ],
         }
-        fmt = args.format or "structured-record"
-        text = _json_dumps(payload) if fmt == "structured-record" else _kv_table(
+        text = _json_dumps(payload) if args.format == "structured-record" else _kv_table(
             {c.name: "PASS" if c.passed else "FAIL" for c in checks}
         )
         Path(args.out).write_text(text)
@@ -489,25 +463,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="flat key=value file; flags override it")
-        p.add_argument("--format", choices=FORMATS, default=None)
+        p.add_argument("--format", choices=FORMATS, default=FORMATS[0])
         p.add_argument("--out", help="write the report here instead of stdout")
 
     p = sub.add_parser("bounds", help="closed-form classical and quantum values")
     p.add_argument("--task", choices=["A", "B"], default=None)
-    p.add_argument("--parties", type=int, default=None)
+    p.add_argument("--parties", type=int, default=5)
     common(p)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("certify", help="brute-force the task A bound over all protocols")
-    p.add_argument("--parties", type=int, choices=[2, 3], default=None)
-    p.add_argument("--tree", choices=["chain", "star"], default=None)
+    p.add_argument("--parties", type=int, choices=[2, 3], default=3)
+    p.add_argument("--tree", choices=["chain", "star"], default="chain")
     common(p)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("optimize", help="coordinate-ascent search for task B strategies")
-    p.add_argument("--parties", type=int, default=None)
-    p.add_argument("--grid", type=int, default=None, help="cells per party on [0, pi)")
-    p.add_argument("--restarts", type=int, default=None)
+    p.add_argument("--parties", type=positive_int, default=5)
+    p.add_argument("--grid", type=positive_int, default=64, help="cells per party on [0, pi)")
+    p.add_argument("--restarts", type=positive_int, default=20)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--trace-out", dest="trace_out", default=None)
     common(p)
@@ -515,16 +489,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="simulate the heralded-photon experiment")
     p.add_argument("--task", choices=["A", "B"], default=None)
-    p.add_argument("--parties", type=int, default=None)
+    p.add_argument("--parties", type=positive_int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--streams", type=int, default=None)
-    p.add_argument("--n-target", dest="n_target", type=int, default=None)
+    p.add_argument("--streams", type=positive_int, default=1)
+    p.add_argument("--n-target", dest="n_target", type=positive_int, default=None)
     p.add_argument("--eta", type=float, default=None)
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--visibility", type=float, default=None)
     p.add_argument("--trigger-rate", dest="trigger_rate", type=float, default=None)
     p.add_argument("--window", type=float, default=None)
-    p.add_argument("--block-size", dest="block_size", type=int, default=None)
+    p.add_argument("--block-size", dest="block_size", type=positive_int, default=500)
     common(p)
     p.set_defaults(func=cmd_experiment)
 
@@ -536,7 +510,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        known = set(vars(args)) - {"command", "func", "config"}
+        args = parser.parse_args(argv[:1] + _config_flags(args.config, known) + argv[1:])
     try:
         return args.func(args)
     except (ValueError, RuntimeError) as exc:

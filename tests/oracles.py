@@ -56,6 +56,24 @@ def fidelity_by_enumeration_a(answer_fn, n_parties: int) -> float:
     return abs(total) / len(tuples)
 
 
+def run_tables(tables, parents, digits) -> int:
+    """Recursive message passing for one input tuple; returns the root's sign.
+
+    Party k outputs tables[k][digit][received], where ``received`` packs its
+    children in ascending party order, bit j set when child j sent -1.  The
+    root is the last party.  Each party's message is computed on demand from
+    its children's, independent of any send order.
+    """
+    n = len(tables)
+
+    def message(k: int) -> int:
+        children = [c for c in range(n - 1) if parents[c] == k]
+        received = sum((message(c) == -1) << j for j, c in enumerate(children))
+        return int(tables[k][digits[k]][received])
+
+    return message(n - 1)
+
+
 def fidelity_by_quadrature_b(strategy_signs: np.ndarray, k: int = 2000) -> float:
     """Task B product-strategy fidelity by midpoint quadrature on [0, pi)^N.
 

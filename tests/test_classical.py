@@ -28,7 +28,13 @@ from qccp import (
     task_value,
 )
 
-from oracles import fidelity_by_enumeration_a, fidelity_by_quadrature_b
+from qccp.classical import _answers, _best_root
+from oracles import (
+    even_sum_tuples,
+    fidelity_by_enumeration_a,
+    fidelity_by_quadrature_b,
+    run_tables,
+)
 
 TWO_OVER_PI = 2.0 / math.pi
 
@@ -270,10 +276,47 @@ class TestBruteForce:
         for tree in (CommTree.chain(2), CommTree.chain(3), CommTree.star(3)):
             result = brute_force_bound_a(tree)
             oracle = fidelity_by_enumeration_a(
-                lambda combo: run_protocol(result.protocol, tree, combo),
+                lambda combo: run_tables(result.protocol.tables, tree.parents, combo),
                 tree.n_parties,
             )
             assert oracle == pytest.approx(result.max_fidelity, abs=1e-14)
+
+    # argmax tables recorded from the exhaustive root-table enumeration, whose
+    # ties went to the lowest protocol index
+    GOLDEN_ARGMAX = {
+        "chain-2": [
+            [[-1], [-1], [1], [1]],
+            [[-1, 1], [1, -1], [1, -1], [-1, 1]],
+        ],
+        "chain-3": [
+            [[-1], [1], [1], [1]],
+            [[1, -1], [1, -1], [-1, 1], [-1, 1]],
+            [[-1, 1], [1, -1], [1, -1], [-1, 1]],
+        ],
+        "star-3": [
+            [[-1], [1], [1], [1]],
+            [[-1], [-1], [1], [1]],
+            [[1, -1, -1, 1], [-1, 1, 1, -1], [-1, 1, 1, -1], [1, -1, -1, 1]],
+        ],
+    }
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_ARGMAX))
+    def test_argmax_tables_golden(self, name):
+        shape, n = name.split("-")
+        tree = getattr(CommTree, shape)(int(n))
+        tables = brute_force_bound_a(tree).protocol.tables
+        assert [t.tolist() for t in tables] == self.GOLDEN_ARGMAX[name]
+
+    def test_closed_form_root_matches_enumeration(self):
+        # every root table of an 8-state root, as masks with bit s set where
+        # r_s = -1; the lowest-mask maximiser must equal the closed form
+        bits = (np.arange(256)[:, None] >> np.arange(8)[None, :]) & 1
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            v = rng.integers(-2, 3, size=8).astype(float)
+            scores = np.abs((1 - 2 * bits) @ v)
+            assert scores.max() == np.abs(v).sum()
+            assert _best_root(v).tolist() == (1 - 2 * bits[np.argmax(scores)]).tolist()
 
     def test_rejects_unsupported_sizes(self):
         with pytest.raises(ValueError):
@@ -300,6 +343,25 @@ class TestGeneralProtocolType:
             GeneralProtocolA(tree=tree, tables=(good[0], good[1], np.ones((4, 2), dtype=int)))
         with pytest.raises(ValueError):
             GeneralProtocolA(tree=tree, tables=good[:2])
+
+    @pytest.mark.parametrize("tree", [CommTree.chain(3), CommTree.star(3)], ids=["chain", "star"])
+    def test_batched_answers_match_recursive_oracle(self, tree):
+        rng = np.random.default_rng(17)
+        tuples = even_sum_tuples(tree.n_parties)
+        protocols = [brute_force_bound_a(tree).protocol] + [
+            GeneralProtocolA(
+                tree=tree,
+                tables=tuple(
+                    1 - 2 * rng.integers(0, 2, size=(4, 2 ** len(tree.children(k))))
+                    for k in range(tree.n_parties)
+                ),
+            )
+            for _ in range(20)
+        ]
+        for proto in protocols:
+            want = [run_tables(proto.tables, tree.parents, t) for t in tuples]
+            assert _answers(proto, tree, np.array(tuples)).tolist() == want
+            assert [run_protocol(proto, tree, t) for t in tuples] == want
 
     def test_tree_mismatch_in_run(self):
         proto = brute_force_bound_a(CommTree.chain(3)).protocol

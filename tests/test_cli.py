@@ -1,9 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from qccp import RunRecord, Task, classical_bound, success_stats
+from qccp import PRESETS, RunRecord, Task, classical_bound, success_stats
 from qccp.cli import main
 
 
@@ -144,6 +145,30 @@ class TestExperiment:
         total_blocks = sum(int(line.split("\t")[2]) for line in hist_lines[2:])
         assert total_blocks == payload["n_accepted"] // 100
 
+    def test_histogram_edges_are_plain_numbers(self, capsys, tmp_path):
+        out_file = tmp_path / "run.json"
+        run_cli(capsys, *self.ARGS, "--out", str(out_file))
+        lines = (tmp_path / "run.json.histogram.tsv").read_text().splitlines()
+        rows = [line.split("\t") for line in lines[2:]]
+        edges = np.linspace(0, 1, 101).tolist()
+        assert [float(r[0]) for r in rows] == edges[:-1]
+        assert [float(r[1]) for r in rows] == edges[1:]
+
+    def test_ideal_device_emits_strict_json(self, capsys):
+        code, out = run_cli(
+            capsys, "experiment", "--task", "A", "--eta", "1", "--visibility", "1",
+            "--seed", "1",
+        )
+        assert code == 0
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        payload = json.loads(out, parse_constant=reject)
+        assert payload["p_hat"] == 1
+        assert payload["n_accepted"] == PRESETS["A"].n_target
+        assert payload["sigma_violation"] is None
+
     def test_byte_identical_reruns(self, capsys, tmp_path):
         first = tmp_path / "a.json"
         second = tmp_path / "b.json"
@@ -255,6 +280,35 @@ class TestConfigAndEnv:
         _, out_other = run_cli(capsys, *args)
         assert json.loads(out_other)["seed"] == 78
         assert out_other != out_env
+
+
+BAD_VALUES = [
+    ("optimize", "parties", "0"),
+    ("optimize", "restarts", "0"),
+    ("optimize", "grid", "0"),
+    ("experiment", "streams", "0"),
+    ("experiment", "block-size", "0"),
+    ("certify", "tree", "chian"),
+    ("bounds", "format", "xml"),
+]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command, key, value", BAD_VALUES)
+def test_bad_values_fail_loudly(capsys, tmp_path, command, key, value, source):
+    if source == "flag":
+        argv = [command, f"--{key}", value]
+    else:
+        config = tmp_path / "bad.cfg"
+        config.write_text(f"{key} = {value}\n")
+        argv = [command, "--config", str(config)]
+    if command == "experiment":
+        argv += ["--task", "A"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"--{key}" in err and value in err
 
 
 def test_entry_point_requires_a_command():
