@@ -30,15 +30,13 @@ from .classical import (
 from .experiment import (
     PRESETS,
     ExperimentParams,
-    RunRecord,
+    Runs,
     WindowChoice,
-    accepted_records,
     experimental_fidelity,
     gamma_from_visibility,
     optimize_window,
     predicted_success,
     simulate_experiment,
-    simulate_experiment_streams,
     simulate_run,
     stream_runs,
     visibility_from_gamma,

@@ -181,25 +181,34 @@ def _decompose_batch(task: Task, inputs: np.ndarray):
     return x, y
 
 
-def _root_state(tree: CommTree, tables, digits: np.ndarray) -> np.ndarray:
+_SendPlan = tuple[tuple[int, tuple[int, ...]], ...]
+
+
+def _send_plan(tree: CommTree) -> _SendPlan:
+    """(party, children) for every sender in send order, then for the root."""
+    return tuple((k, tree.children(k)) for k in (*tree.send_order(), tree.n_parties - 1))
+
+
+def _root_state(plan: _SendPlan, tables, digits: np.ndarray) -> np.ndarray:
     """Message passing over the rows of a (rows, N) task A digit array.
 
-    The senders speak in :meth:`CommTree.send_order`, each looking its bit up
-    in ``tables[k]`` at (digit, received).  Returns each row's root state
+    ``plan`` is the tree's :func:`_send_plan`: the senders speak in
+    :meth:`CommTree.send_order`, each looking its bit up in ``tables[k]`` at
+    (digit, received).  Returns each row's root state
     ``digit * 2^c + received``, the flat index into the root's (4, 2^c) table.
     """
     messages: dict[int, np.ndarray] = {}
 
-    def received(k: int) -> np.ndarray:
-        recv = np.zeros(len(digits), dtype=np.int64)
-        for j, child in enumerate(tree.children(k)):
-            recv += ((1 - messages[child]) // 2) << j
+    def received(children: tuple[int, ...]):
+        recv = 0
+        for j, child in enumerate(children):
+            recv = recv + (((1 - messages[child]) // 2) << j)
         return recv
 
-    for k in tree.send_order():
-        messages[k] = tables[k][digits[:, k], received(k)]
-    root = tree.n_parties - 1
-    return (digits[:, root] << len(tree.children(root))) + received(root)
+    *senders, (root, children) = plan
+    for k, kids in senders:
+        messages[k] = tables[k][digits[:, k], received(kids)]
+    return (digits[:, root] << len(children)) + received(children)
 
 
 def _answers(protocol: Strategy, tree: CommTree, inputs: np.ndarray) -> np.ndarray:
@@ -210,7 +219,8 @@ def _answers(protocol: Strategy, tree: CommTree, inputs: np.ndarray) -> np.ndarr
     prod(y) * prod(a_k(x_k)).
     """
     if isinstance(protocol, GeneralProtocolA):
-        return protocol.tables[-1].ravel()[_root_state(tree, protocol.tables, inputs)]
+        state = _root_state(_send_plan(tree), protocol.tables, inputs)
+        return protocol.tables[-1].ravel()[state]
     x, y = _decompose_batch(_task_of(protocol), inputs)
     if isinstance(protocol, ProductStrategyB):
         x = protocol.cell_index(x)
@@ -386,9 +396,10 @@ def brute_force_bound_a(tree: CommTree) -> BruteForceResult:
     root_dim = 4 << len(tree.children(n - 1))
     search_space = (1 << root_dim) * math.prod(len(t) for t in options)
 
+    plan = _send_plan(tree)
     best_fid, best_senders, best_v = -1.0, (), np.zeros(root_dim)
     for senders in itertools.product(*options):
-        state = _root_state(tree, senders, tuples)
+        state = _root_state(plan, senders, tuples)
         v = np.bincount(state, weights=tw, minlength=root_dim)
         fid = float(np.abs(v).sum())
         if fid > best_fid:

@@ -35,6 +35,7 @@ from .classical import (
 from .experiment import (
     PRESETS,
     ExperimentParams,
+    Runs,
     optimize_window,
     predicted_success,
     simulate_experiment,
@@ -50,6 +51,7 @@ DEFAULT_SEED = 7
 SEED_ENV_VAR = "QCCP_SEED"
 
 RECORDS_SCHEMA = "qccp-records-v1"
+RECORDS_BLOCK_ROWS = 4096
 HISTOGRAM_SCHEMA = "qccp-histogram-v1"
 
 FORMATS = ("structured-record", "delimited-table")
@@ -74,11 +76,36 @@ def _emit(payload: dict, fmt: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _config_flags(path: str, known: set[str]) -> list[str]:
+class _UsageError(Exception):
+    """A parse error held back so that its message can name the value's source."""
+
+    def __init__(self, parser: argparse.ArgumentParser, message: str):
+        super().__init__(message)
+        self.parser = parser
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _UsageError(self, message)
+
+
+def _parse(parser: argparse.ArgumentParser, argv: list[str], source: str = ""):
+    """parse_args, exiting 2 on a usage error with ``source`` before the message."""
+    try:
+        return parser.parse_args(argv)
+    except _UsageError as exc:
+        argparse.ArgumentParser.error(exc.parser, source + str(exc))
+
+
+def _config_flags(
+    parser: argparse.ArgumentParser, command: str, path: str, known: set[str]
+) -> list[str]:
     """A flat key=value file as ``--key=value`` flags; rejects unknown keys.
 
-    The flags are parsed ahead of the command line's own, so config values
-    pass the same types and choices and explicit flags win.
+    Each flag is checked on its own first, so a bad value is reported with
+    its file, line and key.  The flags are then parsed ahead of the command
+    line's own, so config values pass the same types and choices and
+    explicit flags win.
     """
     flags: list[str] = []
     unknown: set[str] = set()
@@ -92,7 +119,10 @@ def _config_flags(path: str, known: set[str]) -> list[str]:
         key = key.strip().replace("-", "_")
         if key not in known:
             unknown.add(key)
-        flags.append(f"--{key.replace('_', '-')}={value.strip()}")
+            continue
+        flag = f"--{key.replace('_', '-')}={value.strip()}"
+        _parse(parser, [command, flag], f"config {path}:{lineno} ({line}): ")
+        flags.append(flag)
     if unknown:
         raise SystemExit(f"unknown config keys: {sorted(unknown)}")
     return flags
@@ -109,7 +139,12 @@ def _seed_of(args: argparse.Namespace) -> int:
     if getattr(args, "seed", None) is not None:
         return int(args.seed)
     env = os.environ.get(SEED_ENV_VAR)
-    return int(env) if env else DEFAULT_SEED
+    if not env:
+        return DEFAULT_SEED
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"{SEED_ENV_VAR}={env!r} is not an integer") from None
 
 
 # --- bounds -----------------------------------------------------------------
@@ -231,29 +266,32 @@ def _experiment_params(args: argparse.Namespace) -> ExperimentParams:
     )
 
 
-def _format_input(value) -> str:
-    return str(value) if isinstance(value, int) else repr(float(value))
-
-
 def write_records_tsv(path: Path, chunks, seed: int) -> None:
-    """One row per window; chunks are (stream_id, records) pairs in order."""
-    n = len(chunks[0][1][0].inputs)
+    """One row per window; chunks are (stream_id, runs) pairs in order.
+
+    Rows are formatted and written RECORDS_BLOCK_ROWS at a time, so the log
+    is never held in memory as one string.
+    """
+    n = chunks[0][1].inputs.shape[1]
     header = [
         "window", "seed", "stream", "trigger_count", "accepted",
         "detected", "guessed", "answer", "truth",
     ] + [f"input_{k+1}" for k in range(n)]
-    lines = [f"# schema: {RECORDS_SCHEMA}", "\t".join(header)]
-    i = 0
-    for stream_id, records in chunks:
-        for r in records:
-            row = [
-                str(i), str(seed), str(stream_id), str(r.trigger_count),
-                str(int(r.accepted)), str(int(r.detected)), str(int(r.guessed)),
-                str(r.answer), str(r.truth),
-            ] + [_format_input(v) for v in r.inputs]
-            lines.append("\t".join(row))
-            i += 1
-    path.write_text("\n".join(lines) + "\n")
+    first = 0
+    with open(path, "w") as fh:
+        fh.write(f"# schema: {RECORDS_SCHEMA}\n" + "\t".join(header) + "\n")
+        for stream_id, runs in chunks:
+            columns = [
+                runs.trigger_count,
+                *(flag.astype(np.int64) for flag in (runs.accepted, runs.detected, runs.guessed)),
+                runs.answer, runs.truth, *runs.inputs.T,
+            ]
+            # "{}" formats a Python int or float exactly as str() does
+            row = "\t".join(["{}", str(seed), str(stream_id)] + ["{}"] * len(columns)) + "\n"
+            for start in range(0, len(runs), RECORDS_BLOCK_ROWS):
+                block = zip(*(c[start:start + RECORDS_BLOCK_ROWS].tolist() for c in columns))
+                fh.writelines(row.format(i, *values) for i, values in enumerate(block, first + start))
+            first += len(runs)
 
 
 def write_histogram_tsv(path: Path, histogram) -> None:
@@ -271,8 +309,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     params = _experiment_params(args)
     seed = _seed_of(args)
     chunks = stream_runs(params, seed, args.streams)
-    records = [r for _, chunk in chunks for r in chunk]
-    stats = success_stats(records)
+    runs = Runs.concat([r for _, r in chunks])
+    stats = success_stats(runs)
     bound = classical_bound(params.task, params.n_parties)
     payload = {
         "schema": "qccp-experiment-v1",
@@ -286,7 +324,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         "n_target": params.n_target,
         "seed": seed,
         "streams": args.streams,
-        "n_windows": len(records),
+        "n_windows": len(runs),
         "n_accepted": stats.n,
         "successes": stats.successes,
         "p_hat": stats.p_hat,
@@ -301,7 +339,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         base = Path(args.out)
         write_records_tsv(base.with_suffix(base.suffix + ".records.tsv"), chunks, seed)
         if stats.n >= args.block_size:
-            hist = block_histogram(records, block_size=args.block_size)
+            hist = block_histogram(runs, block_size=args.block_size)
             write_histogram_tsv(base.with_suffix(base.suffix + ".histogram.tsv"), hist)
     return 0
 
@@ -395,8 +433,8 @@ def _reproduction_checks(seed: int) -> list[Check]:
         ("B", 3, 0.669, 0.0035, 25.0, 33.0),
     ):
         params = PRESETS[label]
-        records = simulate_experiment(params, RandomStream(seed, stream).generator())
-        stats = success_stats(records)
+        runs = simulate_experiment(params, RandomStream(seed, stream).generator())
+        stats = success_stats(runs)
         bound = classical_bound(params.task, params.n_parties)
         viol = sigma_violation(stats, bound.success)
         ok = (
@@ -455,7 +493,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qccp",
         description="Bounded-communication multiparty games: bounds, searches, simulations.",
     )
@@ -512,10 +550,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(parser, argv)
     if args.config:
         known = set(vars(args)) - {"command", "func", "config"}
-        args = parser.parse_args(argv[:1] + _config_flags(args.config, known) + argv[1:])
+        flags = _config_flags(parser, argv[0], args.config, known)
+        args = _parse(parser, argv[:1] + flags + argv[1:])
     try:
         return args.func(args)
     except (ValueError, RuntimeError) as exc:

@@ -19,14 +19,14 @@ The published parameter sets for the N=5 runs ship as presets A and B.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Iterable, NamedTuple
+from dataclasses import dataclass, fields, replace
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .quantum import run_quantum
+from .quantum import _coherence
 from .sampling import RandomStream, sample_inputs
-from .tasks import Task, task_value
+from .tasks import Task, task_value_batch
 
 
 class WindowChoice(NamedTuple):
@@ -123,9 +123,8 @@ PRESETS: dict[str, ExperimentParams] = {
 }
 
 
-@dataclass(frozen=True)
-class RunRecord:
-    """One collection window: its input, trigger tally and answer bookkeeping."""
+class Run(NamedTuple):
+    """One window of a :class:`Runs` log, as plain Python values."""
 
     inputs: tuple
     trigger_count: int
@@ -135,17 +134,70 @@ class RunRecord:
     answer: int
     truth: int
 
+
+_COLUMN_TYPES = (
+    ("trigger_count", np.int64),
+    ("accepted", bool),
+    ("detected", bool),
+    ("guessed", bool),
+    ("answer", np.int64),
+    ("truth", np.int64),
+)
+
+
+@dataclass(frozen=True, eq=False)
+class Runs:
+    """Window log in columns: one entry per collection window, in order.
+
+    ``inputs`` has shape (windows, N), task A digits as int64 and task B
+    phases as float64.  Unaccepted windows still carry a coin-flip answer;
+    statistics use the accepted subset only, see
+    :func:`qccp.stats.success_stats`.  Iterating yields :class:`Run` rows.
+    """
+
+    inputs: np.ndarray
+    trigger_count: np.ndarray
+    accepted: np.ndarray
+    detected: np.ndarray
+    guessed: np.ndarray
+    answer: np.ndarray
+    truth: np.ndarray
+
     def __post_init__(self):
-        if self.accepted and self.trigger_count != 1:
-            raise ValueError("accepted runs must have exactly one trigger")
-        if not self.detected and not self.guessed:
-            raise ValueError("failed detection forces a guess")
-        if self.answer not in (-1, 1) or self.truth not in (-1, 1):
+        inputs = np.asarray(self.inputs)
+        if inputs.ndim != 2:
+            raise ValueError("inputs must be a (windows, N) array")
+        object.__setattr__(self, "inputs", inputs)
+        for name, dtype in _COLUMN_TYPES:
+            column = np.asarray(getattr(self, name), dtype=dtype)
+            if column.shape != (len(inputs),):
+                raise ValueError(f"{name} needs one entry per window")
+            object.__setattr__(self, name, column)
+        if np.any(self.accepted != (self.trigger_count == 1)):
+            raise ValueError("a window is accepted exactly when it has one trigger")
+        if np.any(self.detected & ~self.accepted):
+            raise ValueError("only accepted windows can be detected")
+        if np.any(self.guessed == self.detected):
+            raise ValueError("a window guesses exactly when it is not detected")
+        if np.any(np.abs(self.answer) != 1) or np.any(np.abs(self.truth) != 1):
             raise ValueError("answer and truth must be +-1 signs")
 
+    @classmethod
+    def concat(cls, parts: Sequence["Runs"]) -> "Runs":
+        """The windows of ``parts`` one after another."""
+        return cls(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(cls)))
+
     @property
-    def correct(self) -> bool:
+    def correct(self) -> np.ndarray:
         return self.answer == self.truth
+
+    def __len__(self) -> int:
+        return len(self.trigger_count)
+
+    def __iter__(self) -> Iterator[Run]:
+        columns = [getattr(self, f.name).tolist() for f in fields(self)]
+        columns[0] = map(tuple, columns[0])
+        return map(Run._make, zip(*columns))
 
 
 def predicted_success(eta: float, gamma: float) -> float:
@@ -162,56 +214,81 @@ def experimental_fidelity(eta: float, gamma: float) -> float:
     return eta * (2.0 * gamma - 1.0)
 
 
-def simulate_run(params: ExperimentParams, rng: np.random.Generator) -> RunRecord:
-    """Simulate one window.  Draw order is fixed and documented for seeding:
-    input tuple, trigger count, then (accepted only) detection and answer.
-    Unaccepted windows still record a coin-flip guess so every record carries
-    an answer; they are excluded from all statistics downstream.
+def _simulate(params: ExperimentParams, rng: np.random.Generator, max_windows: int) -> Runs:
+    """Windows until n_target are accepted or max_windows have run.
+
+    The loop only makes the generator calls of :func:`simulate_run`, in its
+    order, and stores the draws in columns; truth, detection and answers are
+    then computed once over the columns.
     """
-    inputs = sample_inputs(params.task, params.n_parties, rng)
-    truth = task_value(params.task, inputs)
-    trigger_count = int(rng.poisson(params.trigger_rate * params.window))
-    accepted = trigger_count == 1
-    detected = bool(accepted and rng.random() < params.eta)
-    if detected:
-        answer = run_quantum(params.task, inputs, params.visibility, rng)
-        guessed = False
-    else:
-        answer = 1 if rng.random() < 0.5 else -1
-        guessed = True
-    return RunRecord(
-        inputs=tuple(inputs.tolist()),
-        trigger_count=trigger_count,
-        accepted=accepted,
-        detected=detected,
-        guessed=guessed,
-        answer=answer,
-        truth=truth,
-    )
+    mu = params.trigger_rate * params.window
+    capacity = min(max_windows, 1024)
+    dtype = np.int64 if params.task is Task.A else np.float64
+    inputs = np.zeros((capacity, params.n_parties), dtype=dtype)
+    counts = np.zeros(capacity, dtype=np.int64)
+    u_det = np.zeros(capacity)  # detection draws, accepted windows only
+    u_ans = np.zeros(capacity)  # answer draws
+    windows = n_accepted = 0
+    while n_accepted < params.n_target and windows < max_windows:
+        if windows == len(counts):
+            inputs, counts, u_det, u_ans = (
+                np.concatenate([c, np.zeros_like(c)]) for c in (inputs, counts, u_det, u_ans)
+            )
+        inputs[windows] = sample_inputs(params.task, params.n_parties, rng)
+        counts[windows] = count = rng.poisson(mu)
+        if count == 1:
+            n_accepted += 1
+            u_det[windows] = rng.random()
+        u_ans[windows] = rng.random()
+        windows += 1
+
+    inputs, counts, u_det, u_ans = (c[:windows] for c in (inputs, counts, u_det, u_ans))
+    truth = task_value_batch(params.task, inputs)
+    accepted = counts == 1
+    detected = accepted & (u_det < params.eta)
+    # run_quantum's own arithmetic, row by row, so every answer matches it bit for bit
+    coherence = np.array([_coherence(params.task, row) for row in inputs[detected].tolist()])
+    p_plus = np.full(windows, 0.5)
+    p_plus[detected] = (1.0 + params.visibility * coherence) / 2.0
+    answer = np.where(u_ans < p_plus, 1, -1)
+    return Runs(inputs, counts, accepted, detected, ~detected, answer, truth)
 
 
-def simulate_experiment(
-    params: ExperimentParams, rng: np.random.Generator
-) -> list[RunRecord]:
+def simulate_run(params: ExperimentParams, rng: np.random.Generator) -> Runs:
+    """Simulate one window, returned as a one-window :class:`Runs`.
+
+    Draw order, fixed for seeding:
+
+    1. the input tuple, one :func:`~qccp.sampling.sample_inputs` call;
+    2. the trigger count, one ``rng.poisson(rate * window)``;
+    3. if exactly one trigger arrived (accepted), one ``rng.random()``,
+       detected when below eta;
+    4. one ``rng.random()`` for the answer: +1 when below
+       P(+) = (1 + V cos(sum phases))/2 if detected, below 1/2 otherwise.
+
+    Unaccepted windows still draw the coin-flip answer of step 4 so every
+    window carries an answer; they are excluded from all statistics.
+    """
+    return _simulate(params, rng, max_windows=1)
+
+
+def simulate_experiment(params: ExperimentParams, rng: np.random.Generator) -> Runs:
     """Run windows until n_target accepted runs are collected.
 
-    Returns every window in order (accepted and not); statistics must be
-    computed over the accepted subset only, see :func:`qccp.stats.success_stats`.
+    Each window makes the draws of :func:`simulate_run`, in its order, so
+    the result equals that many :func:`simulate_run` calls on the same
+    generator, concatenated.  Returns every window in order (accepted and
+    not); statistics must be computed over the accepted subset only, see
+    :func:`qccp.stats.success_stats`.
     """
     mu = params.trigger_rate * params.window
     p_single = mu * math.exp(-mu)
     if p_single < 1e-6:
         raise ValueError(f"P(single trigger) = {p_single:.2e}; window unusable")
-    max_windows = int(50 * params.n_target / p_single) + 1000
-    records: list[RunRecord] = []
-    accepted = 0
-    while accepted < params.n_target:
-        if len(records) >= max_windows:
-            raise RuntimeError("window budget exhausted; acceptance rate broken?")
-        record = simulate_run(params, rng)
-        records.append(record)
-        accepted += record.accepted
-    return records
+    runs = _simulate(params, rng, max_windows=int(50 * params.n_target / p_single) + 1000)
+    if np.count_nonzero(runs.accepted) < params.n_target:
+        raise RuntimeError("window budget exhausted; acceptance rate broken?")
+    return runs
 
 
 def split_targets(n_target: int, streams: int) -> list[int]:
@@ -225,25 +302,14 @@ def split_targets(n_target: int, streams: int) -> list[int]:
 
 def stream_runs(
     params: ExperimentParams, seed: int, streams: int = 1
-) -> list[tuple[int, list[RunRecord]]]:
-    """Per-stream record chunks: stream i draws from RandomStream(seed, i).
+) -> list[tuple[int, Runs]]:
+    """Per-stream (stream_id, runs) pairs: stream i draws from RandomStream(seed, i).
 
     The accepted-run budget is split deterministically over the streams, so
     the result is reproducible regardless of how streams would be scheduled.
     """
-    chunks: list[tuple[int, list[RunRecord]]] = []
+    chunks: list[tuple[int, Runs]] = []
     for i, target in enumerate(split_targets(params.n_target, streams)):
         part = replace(params, n_target=target)
         chunks.append((i, simulate_experiment(part, RandomStream(seed, i).generator())))
     return chunks
-
-
-def simulate_experiment_streams(
-    params: ExperimentParams, seed: int, streams: int = 1
-) -> list[RunRecord]:
-    """Flat record list of :func:`stream_runs`, folded in stream order."""
-    return [r for _, chunk in stream_runs(params, seed, streams) for r in chunk]
-
-
-def accepted_records(records: Iterable[RunRecord]) -> list[RunRecord]:
-    return [r for r in records if r.accepted]

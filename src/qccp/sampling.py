@@ -19,6 +19,7 @@ from .tasks import Task
 
 MAX_ENUM_PARTIES = 10
 DEFAULT_MAX_REJECTION_ROUNDS = 10_000
+MIN_PROPOSALS = 16  # per rejection round
 
 
 @dataclass(frozen=True)
@@ -44,13 +45,18 @@ def sample_a(n_parties: int, rng: np.random.Generator, size: int | None = None):
     """
     if n_parties < 1:
         raise ValueError("n_parties must be >= 1")
-    squeeze = size is None
-    count = 1 if squeeze else int(size)
+    if size is None:
+        # the draws of size=1, without its (1, N) intermediates
+        row = np.empty(n_parties, dtype=np.int64)
+        row[:-1] = rng.integers(0, 4, size=n_parties - 1)
+        row[-1] = row[:-1].sum() % 2 + 2 * rng.integers(0, 2)
+        return row
+    count = int(size)
     out = np.empty((count, n_parties), dtype=np.int64)
     out[:, : n_parties - 1] = rng.integers(0, 4, size=(count, n_parties - 1))
     parity = out[:, : n_parties - 1].sum(axis=1) % 2
     out[:, n_parties - 1] = parity + 2 * rng.integers(0, 2, size=count)
-    return out[0] if squeeze else out
+    return out
 
 
 def _propose_b(n_parties: int, rng: np.random.Generator, count: int):
@@ -74,23 +80,30 @@ def sample_b(
     """
     if n_parties < 1:
         raise ValueError("n_parties must be >= 1")
-    squeeze = size is None
-    needed = 1 if squeeze else int(size)
+    if size is None:
+        # the rounds of size=1, stopping at its first acceptance
+        for _ in range(max_rounds):
+            accepted = _propose_b(n_parties, rng, MIN_PROPOSALS)
+            if len(accepted):
+                return accepted[0]
+        raise _exhausted(max_rounds)
+    needed = int(size)
     chunks: list[np.ndarray] = []
     got = 0
     for _ in range(max_rounds):
         if got >= needed:
             break
-        batch = max(16, int((needed - got) / (2.0 / math.pi) * 1.1))
+        batch = max(MIN_PROPOSALS, int((needed - got) / (2.0 / math.pi) * 1.1))
         accepted = _propose_b(n_parties, rng, batch)
         chunks.append(accepted)
         got += len(accepted)
     else:
-        raise RuntimeError(
-            f"rejection sampler exhausted {max_rounds} rounds; generator broken?"
-        )
-    samples = np.concatenate(chunks)[:needed]
-    return samples[0] if squeeze else samples
+        raise _exhausted(max_rounds)
+    return np.concatenate(chunks)[:needed]
+
+
+def _exhausted(max_rounds: int) -> RuntimeError:
+    return RuntimeError(f"rejection sampler exhausted {max_rounds} rounds; generator broken?")
 
 
 def enumerate_a(n_parties: int) -> tuple[np.ndarray, np.ndarray]:

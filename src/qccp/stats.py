@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
-from .experiment import RunRecord
+from .experiment import Runs
 
 DEFAULT_BLOCK_SIZE = 500
 
@@ -56,13 +55,13 @@ class SuccessStats:
         return cls(n=n, successes=successes, p_hat=p, sigma=math.sqrt(p * (1.0 - p) / n))
 
 
-def success_stats(records: Iterable[RunRecord]) -> SuccessStats:
-    """Success statistics over the accepted runs of a record log."""
-    accepted = [r for r in records if r.accepted]
-    if not accepted:
+def success_stats(runs: Runs) -> SuccessStats:
+    """Success statistics over the accepted windows of a window log."""
+    n = int(np.count_nonzero(runs.accepted))
+    if not n:
         raise ValueError("no accepted runs")
     return SuccessStats.from_counts(
-        n=len(accepted), successes=sum(r.correct for r in accepted)
+        n=n, successes=int(np.count_nonzero(runs.correct & runs.accepted))
     )
 
 
@@ -107,7 +106,7 @@ class Histogram:
         return int(self.counts.sum())
 
 
-def block_fractions(records: Sequence[RunRecord], block_size: int) -> np.ndarray:
+def block_fractions(runs: Runs, block_size: int) -> np.ndarray:
     """Success fraction of each full consecutive block of accepted runs.
 
     Trailing runs beyond the last full block are dropped, so the number of
@@ -116,7 +115,7 @@ def block_fractions(records: Sequence[RunRecord], block_size: int) -> np.ndarray
     """
     if block_size < 1:
         raise ValueError("block_size must be >= 1")
-    outcomes = np.array([r.correct for r in records if r.accepted], dtype=float)
+    outcomes = runs.correct[runs.accepted].astype(float)
     n_blocks = len(outcomes) // block_size
     if n_blocks < 1:
         raise ValueError(f"need at least {block_size} accepted runs for one block")
@@ -125,14 +124,14 @@ def block_fractions(records: Sequence[RunRecord], block_size: int) -> np.ndarray
 
 
 def block_histogram(
-    records: Sequence[RunRecord],
+    runs: Runs,
     block_size: int = DEFAULT_BLOCK_SIZE,
     bin_width: float = 0.01,
 ) -> Histogram:
     """Histogram of per-block success fractions over [0, 1]."""
     if not 0.0 < bin_width <= 1.0:
         raise ValueError("bin_width must lie in (0, 1]")
-    fractions = block_fractions(records, block_size)
+    fractions = block_fractions(runs, block_size)
     n_bins = math.ceil(1.0 / bin_width - 1e-9)
     edges = np.linspace(0.0, n_bins * bin_width, n_bins + 1)
     counts, _ = np.histogram(fractions, bins=edges)

@@ -1,10 +1,11 @@
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
-from qccp import PRESETS, RunRecord, Task, classical_bound, success_stats
+from qccp import PRESETS, Runs, Task, classical_bound, success_stats
 from qccp.cli import main
 
 
@@ -18,26 +19,14 @@ def parse_records_tsv(path):
     lines = path.read_text().splitlines()
     assert lines[0] == "# schema: qccp-records-v1"
     header = lines[1].split("\t")
-    records = []
-    for line in lines[2:]:
-        row = dict(zip(header, line.split("\t")))
-        inputs = tuple(
-            float(row[c]) if "." in row[c] or "e" in row[c] else int(row[c])
-            for c in header
-            if c.startswith("input_")
-        )
-        records.append(
-            RunRecord(
-                inputs=inputs,
-                trigger_count=int(row["trigger_count"]),
-                accepted=bool(int(row["accepted"])),
-                detected=bool(int(row["detected"])),
-                guessed=bool(int(row["guessed"])),
-                answer=int(row["answer"]),
-                truth=int(row["truth"]),
-            )
-        )
-    return records
+    rows = [dict(zip(header, line.split("\t"))) for line in lines[2:]]
+    inputs = [
+        [float(row[c]) if "." in row[c] or "e" in row[c] else int(row[c])
+         for c in header if c.startswith("input_")]
+        for row in rows
+    ]
+    columns = ("trigger_count", "accepted", "detected", "guessed", "answer", "truth")
+    return Runs(inputs=inputs, **{c: [int(row[c]) for row in rows] for c in columns})
 
 
 class TestBounds:
@@ -134,9 +123,9 @@ class TestExperiment:
         code, _ = run_cli(capsys, *self.ARGS, "--out", str(out_file))
         assert code == 0
         payload = json.loads(out_file.read_text())
-        records = parse_records_tsv(tmp_path / "run.json.records.tsv")
-        assert len(records) == payload["n_windows"]
-        stats = success_stats(records)
+        runs = parse_records_tsv(tmp_path / "run.json.records.tsv")
+        assert len(runs) == payload["n_windows"]
+        stats = success_stats(runs)
         assert stats.n == payload["n_accepted"]
         assert stats.p_hat == payload["p_hat"]
         assert stats.sigma == payload["sigma"]
@@ -201,11 +190,11 @@ class TestExperiment:
             "--seed", "3", "--out", str(out_file),
         )
         assert code == 0
-        records = parse_records_tsv(tmp_path / "b.json.records.tsv")
-        accepted = [r for r in records if r.accepted]
-        assert len(accepted) == 50
-        assert all(isinstance(v, float) for v in records[0].inputs)
-        assert len(records[0].inputs) == 5
+        runs = parse_records_tsv(tmp_path / "b.json.records.tsv")
+        assert np.count_nonzero(runs.accepted) == 50
+        first = (tmp_path / "b.json.records.tsv").read_text().splitlines()[2].split("\t")
+        assert all("." in v or "e" in v for v in first[9:])
+        assert runs.inputs.shape[1] == 5 and runs.inputs.dtype == np.float64
 
     def test_zero_eta_reduces_to_coin_flipping(self, capsys):
         code, out = run_cli(
@@ -236,6 +225,32 @@ class TestExperiment:
             capsys, "experiment", "--task", "A", "--eta", "1.5", "--n-target", "10"
         )
         assert code == 2
+
+    # sha256 of (report, records TSV, histogram TSV) for GOLDEN_ARGS, recorded
+    # from the per-window engine that preceded the columnar one: a change to
+    # the draws, their order or the file formats shows here
+    GOLDEN_ARGS = ("--n-target", "600", "--streams", "2", "--block-size", "100", "--seed", "11")
+    GOLDEN_SHA256 = {
+        "A": (
+            "607947e7cc9c10019b66cfb267f7ab0b2cc1f56a16b0ea9df1fa791eb9fbe7b6",
+            "4744918490c9881a0fcb2fa952c60e2d76b2c1cfe7fe98da7df9fd97b34b4802",
+            "7f1183294867d68634e5e65f8d534bce7a96676bbe2bc8f940e32c2d6b791a7a",
+        ),
+        "B": (
+            "4ab153cbe2e086b8aeb9284fb3027a91624da2f03c413aeafddbe109843875b9",
+            "47d2b95fb699d0b0f1544fb59415d708d012cfb251e2bb1ea36b96cf8e79efe2",
+            "8e5840e1c2b9e5487261e9d3afcb38c9038d5c1037009aedd81c77b1b8b4d8d4",
+        ),
+    }
+
+    @pytest.mark.parametrize("task", ["A", "B"])
+    def test_golden_digests(self, capsys, tmp_path, task):
+        out = tmp_path / "run.json"
+        code, _ = run_cli(capsys, "experiment", "--task", task, *self.GOLDEN_ARGS, "--out", str(out))
+        assert code == 0
+        files = [out, tmp_path / "run.json.records.tsv", tmp_path / "run.json.histogram.tsv"]
+        digests = tuple(hashlib.sha256(f.read_bytes()).hexdigest() for f in files)
+        assert digests == self.GOLDEN_SHA256[task]
 
     def test_gamma_and_visibility_conflict(self):
         with pytest.raises(SystemExit):
@@ -280,6 +295,20 @@ class TestConfigAndEnv:
         _, out_other = run_cli(capsys, *args)
         assert json.loads(out_other)["seed"] == 78
         assert out_other != out_env
+
+    def test_bad_seed_variable_is_named(self, capsys, monkeypatch):
+        monkeypatch.setenv("QCCP_SEED", "abc")
+        assert main(["experiment", "--task", "A", "--n-target", "10"]) == 2
+        assert "QCCP_SEED='abc'" in capsys.readouterr().err
+
+    def test_bad_config_value_names_file_line_and_key(self, capsys, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("# shape\nparties = 3\ntree = chian\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", "--config", str(config)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"config {config}:3 (tree = chian)" in err and "--tree" in err
 
 
 BAD_VALUES = [

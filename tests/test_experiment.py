@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,24 +10,55 @@ from qccp import (
     PRESETS,
     ExperimentParams,
     RandomStream,
-    RunRecord,
+    Runs,
     Task,
-    accepted_records,
     experimental_fidelity,
     gamma_from_visibility,
     optimize_window,
     predicted_success,
+    run_quantum,
     run_quantum_batch,
     sample_b,
+    sample_inputs,
     simulate_experiment,
-    simulate_experiment_streams,
     simulate_run,
+    stream_runs,
+    task_value,
     task_value_batch,
     visibility_from_gamma,
 )
 from qccp.experiment import split_targets
 
 probs = st.floats(0.0, 1.0, allow_nan=False)
+COLUMNS = [f.name for f in dataclasses.fields(Runs)]
+
+
+def same_runs(a: Runs, b: Runs) -> bool:
+    return all(np.array_equal(getattr(a, c), getattr(b, c)) for c in COLUMNS)
+
+
+def scalar_windows(params: ExperimentParams, rng) -> list[tuple]:
+    """Reference engine: one scalar task_value and run_quantum call per window.
+
+    Makes the documented draws in the documented order: the input tuple (as
+    the first row of a size=1 batch), the trigger count, the detection draw
+    of an accepted window, then the answer draw.
+    """
+    rows = []
+    accepted = 0
+    while accepted < params.n_target:
+        inputs = sample_inputs(params.task, params.n_parties, rng, size=1)[0]
+        truth = task_value(params.task, inputs)
+        count = int(rng.poisson(params.trigger_rate * params.window))
+        detected = count == 1 and rng.random() < params.eta
+        if detected:
+            answer = run_quantum(params.task, inputs, params.visibility, rng)
+        else:
+            answer = 1 if rng.random() < 0.5 else -1
+        rows.append((tuple(inputs.tolist()), count, count == 1, detected, not detected,
+                     answer, truth))
+        accepted += count == 1
+    return rows
 
 
 class TestOptimizeWindow:
@@ -145,15 +177,31 @@ class TestParamsAndRecords:
             ExperimentParams(Task.A, 0, 5000.0, 200e-6, eta=0.5, visibility=1.0, n_target=10)
 
     def test_record_invariants(self):
-        with pytest.raises(ValueError):
-            RunRecord((0, 0), trigger_count=2, accepted=True, detected=True,
-                      guessed=False, answer=1, truth=1)
-        with pytest.raises(ValueError):
-            RunRecord((0, 0), trigger_count=1, accepted=True, detected=False,
-                      guessed=False, answer=1, truth=1)
-        with pytest.raises(ValueError):
-            RunRecord((0, 0), trigger_count=1, accepted=True, detected=True,
-                      guessed=False, answer=0, truth=1)
+        window = dict(inputs=[[0, 0]], trigger_count=[1], accepted=[True], detected=[True],
+                      guessed=[False], answer=[1], truth=[1])
+        Runs(**window)
+        for broken in (
+            dict(trigger_count=[2]),  # accepted with two triggers
+            dict(trigger_count=[0]),  # accepted with no trigger
+            dict(trigger_count=[0], accepted=[False]),  # detected but not accepted
+            dict(detected=[False]),  # failed detection without a guess
+            dict(guessed=[True]),  # detected and guessed
+            dict(answer=[0]),
+            dict(truth=[2]),
+            dict(answer=[1, 1]),  # column lengths differ
+            dict(inputs=[0, 0]),  # inputs not (windows, N)
+        ):
+            with pytest.raises(ValueError):
+                Runs(**{**window, **broken})
+
+    def test_unaccepted_windows_guess(self):
+        runs = Runs(inputs=[[0, 0], [1, 1]], trigger_count=[0, 3], accepted=[False, False],
+                    detected=[False, False], guessed=[True, True], answer=[1, -1],
+                    truth=[1, -1])
+        assert len(runs) == 2 and runs.correct.tolist() == [True, True]
+        rows = list(runs)
+        assert rows[1] == ((1, 1), 3, False, False, True, -1, -1)
+        assert all(type(r.accepted) is bool and type(r.trigger_count) is int for r in rows)
 
 
 class TestSimulateRun:
@@ -165,29 +213,45 @@ class TestSimulateRun:
 
     def test_perfect_apparatus_never_errs_on_accepted_runs(self):
         rng = RandomStream(0, 0).generator()
-        correct = 0
-        for _ in range(3000):
-            record = simulate_run(self.params(), rng)
-            if record.accepted:
-                assert record.detected and not record.guessed
-                assert record.correct
-                correct += 1
-        assert correct > 500
+        runs = [simulate_run(self.params(), rng) for _ in range(3000)]
+        assert all(len(r) == 1 for r in runs)
+        runs = Runs.concat(runs)
+        accepted = runs.accepted
+        assert runs.detected[accepted].all() and not runs.guessed[accepted].any()
+        assert runs.correct[accepted].all()
+        assert np.count_nonzero(accepted) > 500
 
     def test_eta_zero_guesses_at_coin_rate(self):
         rng = RandomStream(1, 0).generator()
-        records = [simulate_run(self.params(eta=0.0), rng) for _ in range(30_000)]
-        accepted = [r for r in records if r.accepted]
-        assert all(r.guessed and not r.detected for r in accepted)
-        p_hat = np.mean([r.correct for r in accepted])
-        assert abs(p_hat - 0.5) < 3 * math.sqrt(0.25 / len(accepted))
+        runs = Runs.concat([simulate_run(self.params(eta=0.0), rng) for _ in range(30_000)])
+        accepted = runs.accepted
+        assert runs.guessed[accepted].all() and not runs.detected[accepted].any()
+        p_hat = np.mean(runs.correct[accepted])
+        assert abs(p_hat - 0.5) < 3 * math.sqrt(0.25 / np.count_nonzero(accepted))
 
     def test_detection_fraction_matches_eta(self):
         params = self.params(eta=0.7, n_target=10_000)
-        records = simulate_experiment(params, RandomStream(2, 0).generator())
-        accepted = accepted_records(records)
-        frac = np.mean([r.detected for r in accepted])
-        assert abs(frac - 0.7) < 3 * math.sqrt(0.7 * 0.3 / len(accepted))
+        runs = simulate_experiment(params, RandomStream(2, 0).generator())
+        detected = runs.detected[runs.accepted]
+        frac = np.mean(detected)
+        assert abs(frac - 0.7) < 3 * math.sqrt(0.7 * 0.3 / len(detected))
+
+    @pytest.mark.parametrize("task", [Task.A, Task.B])
+    def test_experiment_is_simulate_run_repeated(self, task):
+        params = self.params(task=task, eta=0.6, visibility=0.8, n_target=300)
+        runs = simulate_experiment(params, RandomStream(3, 1).generator())
+        rng = RandomStream(3, 1).generator()
+        windows = [simulate_run(params, rng) for _ in range(len(runs))]
+        assert same_runs(runs, Runs.concat(windows))
+
+
+class TestReferenceEngine:
+    @pytest.mark.parametrize("task", [Task.A, Task.B])
+    @pytest.mark.parametrize("eta, vis", [(0.452, 0.932), (0.471, 0.9116), (1.0, 1.0), (0.0, 0.5)])
+    def test_columns_equal_the_scalar_loop(self, task, eta, vis):
+        params = ExperimentParams(task, 5, 5000.0, 200e-6, eta, vis, 400)
+        runs = simulate_experiment(params, RandomStream(8, 0).generator())
+        assert list(runs) == scalar_windows(params, RandomStream(8, 0).generator())
 
 
 class TestSimulateExperiment:
@@ -198,15 +262,14 @@ class TestSimulateExperiment:
             trigger_rate=params.trigger_rate, window=params.window,
             eta=params.eta, visibility=params.visibility, n_target=2000,
         )
-        records = simulate_experiment(params, RandomStream(3, 0).generator())
-        accepted = accepted_records(records)
-        assert len(accepted) == 2000
-        assert records[-1].accepted  # stops at the final acceptance
+        runs = simulate_experiment(params, RandomStream(3, 0).generator())
+        assert np.count_nonzero(runs.accepted) == 2000
+        assert runs.accepted[-1]  # stops at the final acceptance
 
     def test_window_count_and_acceptance_statistics(self):
         params = ExperimentParams(Task.A, 2, 5000.0, 200e-6, 1.0, 1.0, 10_000)
-        records = simulate_experiment(params, RandomStream(4, 0).generator())
-        n_windows = len(records)
+        runs = simulate_experiment(params, RandomStream(4, 0).generator())
+        n_windows = len(runs)
         p_one = math.exp(-1.0)
         # expected total windows ~ n_target / e^-1
         assert abs(n_windows - 10_000 / p_one) < 4 * math.sqrt(10_000) / p_one
@@ -215,8 +278,8 @@ class TestSimulateExperiment:
 
     def test_trigger_counts_follow_poisson_mean(self):
         params = ExperimentParams(Task.A, 2, 5000.0, 100e-6, 1.0, 1.0, 3000)
-        records = simulate_experiment(params, RandomStream(5, 0).generator())
-        counts = np.array([r.trigger_count for r in records])
+        runs = simulate_experiment(params, RandomStream(5, 0).generator())
+        counts = runs.trigger_count
         mu = 0.5
         assert abs(counts.mean() - mu) < 3 * math.sqrt(mu / len(counts))
 
@@ -224,22 +287,20 @@ class TestSimulateExperiment:
     @pytest.mark.parametrize("vis", [0.7, 0.9, 1.0])
     def test_agrees_with_closed_form_task_a(self, eta, vis):
         params = ExperimentParams(Task.A, 5, 5000.0, 200e-6, eta, vis, 10_000)
-        records = simulate_experiment(
+        runs = simulate_experiment(
             params, RandomStream(6, int(eta * 100 + vis * 10)).generator()
         )
-        accepted = accepted_records(records)
-        p_hat = np.mean([r.correct for r in accepted])
+        p_hat = np.mean(runs.correct[runs.accepted])
         predicted = predicted_success(eta, gamma_from_visibility(Task.A, vis))
         assert abs(p_hat - predicted) < 3 * math.sqrt(predicted * (1 - predicted) / 10_000)
 
     @pytest.mark.parametrize("eta,vis", [(0.3, 0.9), (0.5, 1.0), (0.9, 0.7)])
     def test_agrees_with_closed_form_task_b(self, eta, vis):
         params = ExperimentParams(Task.B, 3, 5000.0, 200e-6, eta, vis, 10_000)
-        records = simulate_experiment(
+        runs = simulate_experiment(
             params, RandomStream(7, int(eta * 100 + vis * 10)).generator()
         )
-        accepted = accepted_records(records)
-        p_hat = np.mean([r.correct for r in accepted])
+        p_hat = np.mean(runs.correct[runs.accepted])
         predicted = predicted_success(eta, gamma_from_visibility(Task.B, vis))
         assert abs(p_hat - predicted) < 3 * math.sqrt(predicted * (1 - predicted) / 10_000)
 
@@ -258,14 +319,15 @@ class TestStreams:
 
     def test_streamed_run_is_reproducible(self):
         params = ExperimentParams(Task.B, 2, 5000.0, 200e-6, 0.5, 0.9, 600)
-        a = simulate_experiment_streams(params, seed=9, streams=3)
-        b = simulate_experiment_streams(params, seed=9, streams=3)
-        assert a == b
-        assert len(accepted_records(a)) == 600
+        a = stream_runs(params, seed=9, streams=3)
+        b = stream_runs(params, seed=9, streams=3)
+        assert [i for i, _ in a] == [i for i, _ in b] == [0, 1, 2]
+        assert all(same_runs(x, y) for (_, x), (_, y) in zip(a, b))
+        assert [np.count_nonzero(r.accepted) for _, r in a] == split_targets(600, 3)
 
     def test_stream_count_changes_the_draws_but_not_the_contract(self):
         params = ExperimentParams(Task.A, 2, 5000.0, 200e-6, 0.5, 0.9, 600)
-        one = simulate_experiment_streams(params, seed=9, streams=1)
-        three = simulate_experiment_streams(params, seed=9, streams=3)
-        assert one != three
-        assert len(accepted_records(one)) == len(accepted_records(three)) == 600
+        one = Runs.concat([r for _, r in stream_runs(params, seed=9, streams=1)])
+        three = Runs.concat([r for _, r in stream_runs(params, seed=9, streams=3)])
+        assert not same_runs(one, three)
+        assert np.count_nonzero(one.accepted) == np.count_nonzero(three.accepted) == 600

@@ -1,0 +1,43 @@
+"""Smoke runs of the scripts under ``scripts/`` as subprocesses."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from qccp import Task, classical_bound
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name: str, *args: str) -> list[str]:
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_detection_sweep():
+    lines = run_script("detection_sweep.py", "--n-target", "200", "--steps", "2")
+    assert lines[0].startswith("# task B, N=5")
+    assert lines[1].split("\t") == ["eta", "p_simulated", "sigma", "p_predicted", "sigma_over_bound"]
+    rows = [line.split("\t") for line in lines[2:]]
+    assert [r[0] for r in rows] == ["0.500", "1.000"]
+    for eta, p_sim, sigma, p_pred, _ in rows:
+        assert abs(float(p_sim) - float(p_pred)) < 4 * float(sigma) + 1e-4
+
+
+def test_bounds_vs_parties():
+    lines = run_script("bounds_vs_parties.py", "--max-parties", "4")
+    assert lines[0].split("\t")[0] == "N"
+    rows = [line.split("\t") for line in lines[1:]]
+    assert [r[0] for r in rows] == ["1", "2", "3", "4"]
+    for n, pa, qa, pb, qb in rows:
+        assert float(pa) == pytest.approx(classical_bound(Task.A, int(n)).success, abs=1e-6)
+        assert float(pb) == pytest.approx(classical_bound(Task.B, int(n)).success, abs=1e-6)
+        assert float(qa) == 1.0 and float(qb) == pytest.approx(0.892699, abs=1e-6)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from qccp import (
     Histogram,
-    RunRecord,
+    Runs,
     SuccessStats,
     block_fractions,
     block_histogram,
@@ -18,21 +19,17 @@ from qccp import (
 
 
 def make_records(outcomes, accepted=None):
-    records = []
-    for i, correct in enumerate(outcomes):
-        acc = True if accepted is None else accepted[i]
-        records.append(
-            RunRecord(
-                inputs=(0, 0),
-                trigger_count=1 if acc else 0,
-                accepted=acc,
-                detected=acc,
-                guessed=not acc,
-                answer=1 if correct else -1,
-                truth=1,
-            )
-        )
-    return records
+    correct = np.asarray(outcomes, dtype=bool)
+    acc = np.ones(len(correct), dtype=bool) if accepted is None else np.asarray(accepted)
+    return Runs(
+        inputs=np.zeros((len(correct), 2), dtype=np.int64),
+        trigger_count=acc.astype(np.int64),
+        accepted=acc,
+        detected=acc,
+        guessed=~acc,
+        answer=np.where(correct, 1, -1),
+        truth=np.ones(len(correct), dtype=np.int64),
+    )
 
 
 def bernoulli_records(p, n, seed):
@@ -62,7 +59,7 @@ class TestSuccessStats:
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            success_stats([])
+            success_stats(make_records([]))
         with pytest.raises(ValueError):
             success_stats(make_records([True], accepted=[False]))
 
@@ -101,18 +98,7 @@ class TestSigmaViolation:
     def test_invariant_under_consistent_relabeling(self):
         # flipping every answer and truth together leaves the statistic alone
         records = bernoulli_records(0.7, 500, seed=1)
-        flipped = [
-            RunRecord(
-                inputs=r.inputs,
-                trigger_count=r.trigger_count,
-                accepted=r.accepted,
-                detected=r.detected,
-                guessed=r.guessed,
-                answer=-r.answer,
-                truth=-r.truth,
-            )
-            for r in records
-        ]
+        flipped = dataclasses.replace(records, answer=-records.answer, truth=-records.truth)
         assert sigma_violation(success_stats(records), 0.625) == sigma_violation(
             success_stats(flipped), 0.625
         )
