@@ -107,14 +107,21 @@ def _config_flags(
     line's own, so config values pass the same types and choices and
     explicit flags win.
     """
+    def fail(where: str, message: str):
+        argparse.ArgumentParser.error(parser, f"config {where}: {message}")
+
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        fail(path, f"cannot read: {exc.strerror}")
     flags: list[str] = []
     unknown: set[str] = set()
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise SystemExit(f"{path}:{lineno}: expected key=value, got {raw!r}")
+            fail(f"{path}:{lineno}", f"expected key=value, got {raw!r}")
         key, value = line.split("=", 1)
         key = key.strip().replace("-", "_")
         if key not in known:
@@ -124,7 +131,7 @@ def _config_flags(
         _parse(parser, [command, flag], f"config {path}:{lineno} ({line}): ")
         flags.append(flag)
     if unknown:
-        raise SystemExit(f"unknown config keys: {sorted(unknown)}")
+        fail(path, f"unknown config keys: {sorted(unknown)}")
     return flags
 
 
@@ -240,6 +247,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _experiment_params(args: argparse.Namespace) -> ExperimentParams:
+    if args.task is None:
+        raise ValueError("--task is required (A or B), as a flag or in --config")
     task = Task(args.task)
     preset = PRESETS[task.value]
     parties = args.parties if args.parties is not None else preset.n_parties
@@ -247,8 +256,6 @@ def _experiment_params(args: argparse.Namespace) -> ExperimentParams:
     window = args.window if args.window is not None else optimize_window(trigger_rate).window
     eta = args.eta if args.eta is not None else preset.eta
     n_target = args.n_target if args.n_target is not None else preset.n_target
-    if args.visibility is not None and args.gamma is not None:
-        raise SystemExit("give either --gamma or --visibility, not both")
     if args.visibility is not None:
         visibility = args.visibility
     elif args.gamma is not None:
@@ -304,8 +311,6 @@ def write_histogram_tsv(path: Path, histogram) -> None:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    if args.task is None:
-        raise SystemExit("--task is required (A or B)")
     params = _experiment_params(args)
     seed = _seed_of(args)
     chunks = stream_runs(params, seed, args.streams)
@@ -532,8 +537,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--streams", type=positive_int, default=1)
     p.add_argument("--n-target", dest="n_target", type=positive_int, default=None)
     p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--visibility", type=float, default=None)
+    contrast = p.add_mutually_exclusive_group()
+    contrast.add_argument("--gamma", type=float, default=None)
+    contrast.add_argument("--visibility", type=float, default=None)
     p.add_argument("--trigger-rate", dest="trigger_rate", type=float, default=None)
     p.add_argument("--window", type=float, default=None)
     p.add_argument("--block-size", dest="block_size", type=positive_int, default=500)
@@ -554,7 +560,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.config:
         known = set(vars(args)) - {"command", "func", "config"}
         flags = _config_flags(parser, argv[0], args.config, known)
-        args = _parse(parser, argv[:1] + flags + argv[1:])
+        args = _parse(parser, argv[:1] + flags + argv[1:], f"config {args.config} with the flags: ")
     try:
         return args.func(args)
     except (ValueError, RuntimeError) as exc:

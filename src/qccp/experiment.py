@@ -24,8 +24,9 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from . import replay, sampling
 from .quantum import _coherence
-from .sampling import RandomStream, sample_inputs
+from .sampling import RandomStream
 from .tasks import Task, task_value_batch
 
 
@@ -214,35 +215,185 @@ def experimental_fidelity(eta: float, gamma: float) -> float:
     return eta * (2.0 * gamma - 1.0)
 
 
+# raw words drawn at a time, unless one window needs more; bounds working memory
+CHUNK_WORDS = 1 << 13
+_TWO_PI = 2.0 * math.pi
+
+
+class _Walk:
+    """Window boundaries in a chunk of generator words, found window by window.
+
+    Per window it reads only the few doubles that decide where the window
+    ends: the trigger count's draws, then the detection and answer draws.
+    The input draws are skipped over: task A's are a fixed number of words,
+    task B's one rejection round, assumed to accept until :meth:`settle`
+    finds otherwise.  Positions are logged per chunk.
+    """
+
+    def __init__(self, params: ExperimentParams, max_windows: int, spare: int):
+        self.task_a = params.task is Task.A
+        self.n = params.n_parties
+        self.mu = params.trigger_rate * params.window
+        self.proposals = sampling.proposals_per_round(1)  # as sample_b(size=1) draws them
+        self.round_words = self.proposals * (self.n + 1)
+        self.targets = params.n_target
+        self.windows = max_windows
+        self.spare = spare  # task A: a 32-bit half left over by the last input draw
+        self.reset()
+
+    def reset(self) -> None:
+        self.starts: list[int] = []  # first input word (task B: of the last round)
+        self.counts: list[int] = []
+        self.det_at: list[int] = []  # detection draw, -1 unless accepted
+        self.ans_at: list[int] = []
+        self.sample_at: list[int] = []  # task A: every input word
+
+    def rewind(self, i: int) -> None:
+        """Forget windows i.. of this chunk."""
+        self.targets += self.counts[i:].count(1)
+        self.windows += len(self.counts) - i
+        for log in (self.starts, self.counts, self.det_at, self.ans_at):
+            del log[i:]
+
+    def run(self, d, p: int, end: int) -> tuple[int, int]:
+        """Walk whole windows from word p of the doubles d[:end].
+
+        Returns the position after the last whole window and the number of
+        words the next window is known to need from there (0 once the run
+        is over: targets collected or windows spent).
+        """
+        task_a, n, mu = self.task_a, self.n, self.mu
+        exp_neg_mu = math.exp(-mu)
+        starts, counts, det_at, ans_at = self.starts, self.counts, self.det_at, self.ans_at
+        while self.targets and self.windows:
+            start = p
+            if task_a:
+                take = n - self.spare  # 32-bit draws still to make, two per word
+                p += (take + 1) >> 1
+            else:
+                p += self.round_words
+            if p > end:
+                return start, p - start + (mu > 0.0) + 1
+            k, p = replay.poisson(d, p, end, mu, exp_neg_mu)
+            if k < 0:
+                return start, end - start + 2
+            if p + (k == 1) >= end:
+                return start, p - start + (k == 1) + 1
+            if task_a:
+                self.sample_at += range(start, start + ((take + 1) >> 1))
+                self.spare = take & 1
+            starts.append(start)
+            counts.append(k)
+            if k == 1:
+                det_at.append(p)
+                p += 1
+                self.targets -= 1
+            else:
+                det_at.append(-1)
+            ans_at.append(p)
+            p += 1
+            self.windows -= 1
+        return p, 0
+
+    def settle(self, d: np.ndarray, p: int, need: int) -> tuple[int, int, np.ndarray]:
+        """Check task B's rounds; re-walk from each that rejected every proposal.
+
+        The re-walk starts one round on, so that window takes another round.
+        Returns the final (position, need) of :meth:`run` and, per window,
+        the index of the accepted proposal in its last round.
+        """
+        checked, first = 0, []
+        while True:
+            starts = np.array(self.starts[checked:], dtype=np.intp)
+            got = _first_accepted(d, starts, self.n, self.proposals)
+            rejected = np.flatnonzero(got < 0)
+            if not len(rejected):
+                return p, need, np.concatenate(first + [got])
+            first.append(got[: rejected[0]])
+            checked += int(rejected[0])
+            restart = self.starts[checked] + self.round_words
+            self.rewind(checked)
+            p, need = self.run(memoryview(d), restart, len(d))
+
+
+def _first_accepted(d: np.ndarray, starts: np.ndarray, n: int, proposals: int) -> np.ndarray:
+    """Index of the first accepted proposal of each task B round, -1 if none is.
+
+    A round at word q is ``sampling._propose_b``: ``proposals`` rows of n
+    uniform phases, then one acceptance uniform per row, compared with
+    numpy's own row sums, cosines and comparisons.
+    """
+    first = np.full(len(starts), -1)
+    pending = np.arange(len(starts))
+    columns = np.arange(n)
+    for j in range(proposals):
+        if not len(pending):
+            break
+        at = starts[pending]
+        sums = (_TWO_PI * d[(at + j * n)[:, None] + columns]).sum(axis=1)
+        ok = d[at + proposals * n + j] < np.abs(np.cos(sums))
+        first[pending[ok]] = j
+        pending = pending[~ok]
+    return first
+
+
 def _simulate(params: ExperimentParams, rng: np.random.Generator, max_windows: int) -> Runs:
     """Windows until n_target are accepted or max_windows have run.
 
-    The loop only makes the generator calls of :func:`simulate_run`, in its
-    order, and stores the draws in columns; truth, detection and answers are
-    then computed once over the columns.
+    Replays the per-window draws of :func:`simulate_run` from raw words (see
+    :mod:`qccp.replay`), drawn in chunks that never exceed a lower bound on
+    what the remaining windows consume, so the generator ends exactly where
+    the per-window calls leave it.  Truth, detection and answers are then
+    computed once over the columns.
     """
-    mu = params.trigger_rate * params.window
-    capacity = min(max_windows, 1024)
-    dtype = np.int64 if params.task is Task.A else np.float64
-    inputs = np.zeros((capacity, params.n_parties), dtype=dtype)
-    counts = np.zeros(capacity, dtype=np.int64)
-    u_det = np.zeros(capacity)  # detection draws, accepted windows only
-    u_ans = np.zeros(capacity)  # answer draws
-    windows = n_accepted = 0
-    while n_accepted < params.n_target and windows < max_windows:
-        if windows == len(counts):
-            inputs, counts, u_det, u_ans = (
-                np.concatenate([c, np.zeros_like(c)]) for c in (inputs, counts, u_det, u_ans)
-            )
-        inputs[windows] = sample_inputs(params.task, params.n_parties, rng)
-        counts[windows] = count = rng.poisson(mu)
-        if count == 1:
-            n_accepted += 1
-            u_det[windows] = rng.random()
-        u_ans[windows] = rng.random()
-        windows += 1
+    bits = rng.bit_generator
+    replay.check_replayable(bits)
+    task_a = params.task is Task.A
+    n = params.n_parties
+    spare = bits.state["has_uint32"] if task_a else 0
+    walk = _Walk(params, max_windows, spare)
+    # the fewest words one window draws, and one accepted window
+    fewest = n // 2 if task_a else walk.round_words
+    per_window = fewest + (walk.mu > 0.0) + 1
+    per_accepted = fewest + 4
 
-    inputs, counts, u_det, u_ans = (c[:windows] for c in (inputs, counts, u_det, u_ans))
+    # one float64 row per window: trigger count, detection and answer draws,
+    # then task B's phases; one block that doubles, not an array per chunk
+    table = np.zeros((min(max_windows, 1024), 3 + (0 if task_a else n)))
+    windows = 0
+    input_words = []  # task A: the words sample_a drew, per chunk
+    words = np.empty(0, dtype=np.uint64)
+    p = need = 0
+    while walk.targets and walk.windows:
+        bound = min(per_accepted * walk.targets, per_window * walk.windows)
+        fresh = bits.random_raw(max(min(bound, CHUNK_WORDS), need) - (len(words) - p))
+        words = np.concatenate([words[p:], fresh])
+        d = replay.doubles(words)
+        p, need = walk.run(memoryview(d), 0, len(words))
+        if not task_a:
+            p, need, first = walk.settle(d, p, need)
+        added = len(walk.counts)
+        while windows + added > len(table):
+            table = np.concatenate([table, np.zeros_like(table)])
+        rows = table[windows : windows + added]
+        det = np.array(walk.det_at, dtype=np.intp)
+        rows[:, 0] = walk.counts
+        rows[:, 1] = np.where(det >= 0, d[det], 0.0)
+        rows[:, 2] = d[np.array(walk.ans_at, dtype=np.intp)]
+        if task_a:
+            input_words.append(words[walk.sample_at])
+        else:
+            starts = np.array(walk.starts, dtype=np.intp) + n * first
+            rows[:, 3:] = _TWO_PI * d[starts[:, None] + np.arange(n)]
+        windows += added
+        walk.reset()
+
+    counts = table[:windows, 0].astype(np.int64)
+    u_det, u_ans = table[:windows, 1], table[:windows, 2]
+    if task_a:
+        inputs = _digits(bits, n, windows, np.concatenate(input_words))
+    else:
+        inputs = table[:windows, 3:].copy()
     truth = task_value_batch(params.task, inputs)
     accepted = counts == 1
     detected = accepted & (u_det < params.eta)
@@ -252,6 +403,30 @@ def _simulate(params: ExperimentParams, rng: np.random.Generator, max_windows: i
     p_plus[detected] = (1.0 + params.visibility * coherence) / 2.0
     answer = np.where(u_ans < p_plus, 1, -1)
     return Runs(inputs, counts, accepted, detected, ~detected, answer, truth)
+
+
+def _digits(bits: np.random.BitGenerator, n: int, windows: int, words: np.ndarray) -> np.ndarray:
+    """Task A inputs from the words ``sample_a`` drew, and the generator's spare half.
+
+    Each window takes ``integers(0, 4)`` digits then one ``integers(0, 2)``
+    parity bit, one 32-bit half each (the top two bits, the top bit).  A
+    spare half left before the run comes first; one left after it stays in
+    the generator, as numpy's ``has_uint32`` and ``uinteger``.
+    """
+    state = bits.state
+    drawn = replay.halves(words)
+    if state["has_uint32"]:
+        drawn = np.concatenate([[np.uint64(state["uinteger"])], drawn])
+    used = windows * n
+    halves = drawn[:used].reshape(windows, n).astype(np.int64)
+    digits = np.empty((windows, n), dtype=np.int64)
+    digits[:, :-1] = halves[:, :-1] >> 30
+    digits[:, -1] = digits[:, :-1].sum(axis=1) % 2 + 2 * (halves[:, -1] >> 31)
+    state["has_uint32"] = len(drawn) - used
+    if len(words):
+        state["uinteger"] = int(words[-1] >> np.uint64(32))
+    bits.state = state
+    return digits
 
 
 def simulate_run(params: ExperimentParams, rng: np.random.Generator) -> Runs:
@@ -268,6 +443,12 @@ def simulate_run(params: ExperimentParams, rng: np.random.Generator) -> Runs:
 
     Unaccepted windows still draw the coin-flip answer of step 4 so every
     window carries an answer; they are excluded from all statistics.
+
+    This order is the contract, but the engine makes none of these calls:
+    it replays them from raw 64-bit words (:mod:`qccp.replay`), giving the
+    same values and leaving ``rng.bit_generator.state`` as the calls would.
+    That needs a bit generator with PCG64's word layout: PCG64 (numpy's
+    default), PCG64DXSM, SFC64 or Philox; others raise ``TypeError``.
     """
     return _simulate(params, rng, max_windows=1)
 
@@ -276,8 +457,10 @@ def simulate_experiment(params: ExperimentParams, rng: np.random.Generator) -> R
     """Run windows until n_target accepted runs are collected.
 
     Each window makes the draws of :func:`simulate_run`, in its order, so
-    the result equals that many :func:`simulate_run` calls on the same
-    generator, concatenated.  Returns every window in order (accepted and
+    the result, and the generator state after it, equal that many
+    :func:`simulate_run` calls on the same generator, concatenated.  The
+    draws are replayed in bulk from raw words, with the bit generators
+    :func:`simulate_run` lists.  Returns every window in order (accepted and
     not); statistics must be computed over the accepted subset only, see
     :func:`qccp.stats.success_stats`.
     """

@@ -45,18 +45,12 @@ def sample_a(n_parties: int, rng: np.random.Generator, size: int | None = None):
     """
     if n_parties < 1:
         raise ValueError("n_parties must be >= 1")
-    if size is None:
-        # the draws of size=1, without its (1, N) intermediates
-        row = np.empty(n_parties, dtype=np.int64)
-        row[:-1] = rng.integers(0, 4, size=n_parties - 1)
-        row[-1] = row[:-1].sum() % 2 + 2 * rng.integers(0, 2)
-        return row
-    count = int(size)
+    count = 1 if size is None else int(size)
     out = np.empty((count, n_parties), dtype=np.int64)
     out[:, : n_parties - 1] = rng.integers(0, 4, size=(count, n_parties - 1))
     parity = out[:, : n_parties - 1].sum(axis=1) % 2
     out[:, n_parties - 1] = parity + 2 * rng.integers(0, 2, size=count)
-    return out
+    return out[0] if size is None else out
 
 
 def _propose_b(n_parties: int, rng: np.random.Generator, count: int):
@@ -80,30 +74,24 @@ def sample_b(
     """
     if n_parties < 1:
         raise ValueError("n_parties must be >= 1")
-    if size is None:
-        # the rounds of size=1, stopping at its first acceptance
-        for _ in range(max_rounds):
-            accepted = _propose_b(n_parties, rng, MIN_PROPOSALS)
-            if len(accepted):
-                return accepted[0]
-        raise _exhausted(max_rounds)
-    needed = int(size)
+    needed = 1 if size is None else int(size)
     chunks: list[np.ndarray] = []
     got = 0
     for _ in range(max_rounds):
         if got >= needed:
             break
-        batch = max(MIN_PROPOSALS, int((needed - got) / (2.0 / math.pi) * 1.1))
-        accepted = _propose_b(n_parties, rng, batch)
+        accepted = _propose_b(n_parties, rng, proposals_per_round(needed - got))
         chunks.append(accepted)
         got += len(accepted)
     else:
-        raise _exhausted(max_rounds)
-    return np.concatenate(chunks)[:needed]
+        raise RuntimeError(f"rejection sampler exhausted {max_rounds} rounds; generator broken?")
+    out = np.concatenate(chunks)[:needed]
+    return out[0] if size is None else out
 
 
-def _exhausted(max_rounds: int) -> RuntimeError:
-    return RuntimeError(f"rejection sampler exhausted {max_rounds} rounds; generator broken?")
+def proposals_per_round(needed: int) -> int:
+    """Proposals in a rejection round that still needs ``needed`` acceptances."""
+    return max(MIN_PROPOSALS, int(needed / (2.0 / math.pi) * 1.1))
 
 
 def enumerate_a(n_parties: int) -> tuple[np.ndarray, np.ndarray]:

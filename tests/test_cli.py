@@ -1,11 +1,16 @@
 import hashlib
 import json
 import math
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qccp import PRESETS, Runs, Task, classical_bound, success_stats
+from qccp import PRESETS, Runs, Task, classical_bound, cli, success_stats
 from qccp.cli import main
 
 
@@ -252,9 +257,15 @@ class TestExperiment:
         digests = tuple(hashlib.sha256(f.read_bytes()).hexdigest() for f in files)
         assert digests == self.GOLDEN_SHA256[task]
 
-    def test_gamma_and_visibility_conflict(self):
-        with pytest.raises(SystemExit):
+    def test_gamma_and_visibility_conflict(self, capsys):
+        with pytest.raises(SystemExit) as exc:
             main(["experiment", "--task", "A", "--gamma", "0.9", "--visibility", "0.9"])
+        assert exc.value.code == 2
+        assert "--gamma" in capsys.readouterr().err
+
+    def test_task_is_required(self, capsys):
+        assert main(["experiment", "--n-target", "10"]) == 2
+        assert "--task is required" in capsys.readouterr().err
 
 
 class TestConfigAndEnv:
@@ -272,17 +283,28 @@ class TestConfigAndEnv:
         _, out = run_cli(capsys, "experiment", "--config", str(config), "--eta", "0.6")
         assert json.loads(out)["eta"] == 0.6
 
-    def test_unknown_config_key_rejected(self, tmp_path):
+    def test_unknown_config_key_rejected(self, capsys, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("task=A\nbogus=1\n")
-        with pytest.raises(SystemExit, match="unknown config keys"):
+        with pytest.raises(SystemExit) as exc:
             main(["experiment", "--config", str(config)])
+        assert exc.value.code == 2
+        assert f"config {config}: unknown config keys: ['bogus']" in capsys.readouterr().err
 
-    def test_malformed_config_line_rejected(self, tmp_path):
+    def test_malformed_config_line_rejected(self, capsys, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("task A\n")
-        with pytest.raises(SystemExit, match="key=value"):
+        with pytest.raises(SystemExit) as exc:
             main(["experiment", "--config", str(config)])
+        assert exc.value.code == 2
+        assert f"config {config}:1: expected key=value" in capsys.readouterr().err
+
+    def test_missing_config_file_rejected(self, capsys, tmp_path):
+        config = tmp_path / "missing.cfg"
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "--config", str(config)])
+        assert exc.value.code == 2
+        assert f"config {config}: cannot read" in capsys.readouterr().err
 
     def test_seed_env_variable(self, capsys, monkeypatch):
         args = ("experiment", "--task", "A", "--n-target", "100", "--eta", "0.9", "--visibility", "1.0")
@@ -343,3 +365,65 @@ def test_bad_values_fail_loudly(capsys, tmp_path, command, key, value, source):
 def test_entry_point_requires_a_command():
     with pytest.raises(SystemExit):
         main([])
+
+
+INTS = st.one_of(st.integers(-3, 40).map(str), st.sampled_from(["", "abc", "1.5", "1e3"]))
+FLOATS = st.one_of(
+    st.floats(-0.5, 1.5, allow_nan=False).map(repr), st.sampled_from(["", "nan", "inf", "x"])
+)
+
+
+def choices(*valid):
+    return st.sampled_from([*valid, "", "chian", "C", "xml"])
+
+
+FORMATS = choices(*cli.FORMATS)
+KEYS = {
+    "experiment": {
+        "task": choices("A", "B"), "parties": INTS, "seed": INTS, "streams": INTS,
+        "n-target": INTS, "eta": FLOATS, "gamma": FLOATS, "visibility": FLOATS,
+        "trigger-rate": FLOATS, "window": FLOATS, "block-size": INTS, "format": FORMATS,
+    },
+    "optimize": {
+        "parties": INTS, "grid": INTS, "restarts": INTS, "seed": INTS, "format": FORMATS,
+    },
+    "certify": {"parties": INTS, "tree": choices("chain", "star"), "format": FORMATS},
+}
+
+
+def parse_status(argv):
+    """main's exit status and parsed arguments, with each command's body replaced.
+
+    The experiment stand-in still builds its parameters, so out-of-range
+    values fail as they do in a real run.  Arguments come back as a repr,
+    so that NaN values compare equal.
+    """
+    seen = {}
+
+    def record(args):
+        seen.update(vars(args), config=None, func=None)
+        if args.command == "experiment":
+            cli._experiment_params(args)
+        return 0
+
+    with mock.patch.multiple(cli, cmd_experiment=record, cmd_optimize=record, cmd_certify=record):
+        try:
+            status = main(argv)
+        except SystemExit as exc:
+            status = exc.code
+    return status, repr(sorted(seen.items()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_config_values_behave_as_flags(data):
+    command = data.draw(st.sampled_from(sorted(KEYS)))
+    keys = data.draw(st.lists(st.sampled_from(sorted(KEYS[command])), min_size=1, max_size=3, unique=True))
+    values = {key: data.draw(KEYS[command][key], label=key) for key in keys}
+    extra = ["--task", "A"] if command == "experiment" and "task" not in values else []
+    as_flags = parse_status([command, *(f"--{k}={v}" for k, v in values.items()), *extra])
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "run.cfg"
+        config.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        from_config = parse_status([command, "--config", str(config), *extra])
+    assert as_flags == from_config

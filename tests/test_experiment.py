@@ -27,7 +27,8 @@ from qccp import (
     task_value_batch,
     visibility_from_gamma,
 )
-from qccp.experiment import split_targets
+from qccp import experiment, sampling
+from qccp.experiment import _simulate, split_targets
 
 probs = st.floats(0.0, 1.0, allow_nan=False)
 COLUMNS = [f.name for f in dataclasses.fields(Runs)]
@@ -37,7 +38,7 @@ def same_runs(a: Runs, b: Runs) -> bool:
     return all(np.array_equal(getattr(a, c), getattr(b, c)) for c in COLUMNS)
 
 
-def scalar_windows(params: ExperimentParams, rng) -> list[tuple]:
+def scalar_windows(params: ExperimentParams, rng, max_windows: int | None = None) -> list[tuple]:
     """Reference engine: one scalar task_value and run_quantum call per window.
 
     Makes the documented draws in the documented order: the input tuple (as
@@ -46,7 +47,7 @@ def scalar_windows(params: ExperimentParams, rng) -> list[tuple]:
     """
     rows = []
     accepted = 0
-    while accepted < params.n_target:
+    while accepted < params.n_target and len(rows) != max_windows:
         inputs = sample_inputs(params.task, params.n_parties, rng, size=1)[0]
         truth = task_value(params.task, inputs)
         count = int(rng.poisson(params.trigger_rate * params.window))
@@ -59,6 +60,38 @@ def scalar_windows(params: ExperimentParams, rng) -> list[tuple]:
                      answer, truth))
         accepted += count == 1
     return rows
+
+
+BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64, np.random.Philox]
+
+
+def generators(count: int, seed: int, bit_generator=np.random.PCG64, spare: bool = False):
+    """Equal generators; with ``spare`` each holds a spare 32-bit half, as after integers(0, 2)."""
+    rngs = [np.random.Generator(bit_generator(seed)) for _ in range(count)]
+    if spare:
+        for rng in rngs:
+            rng.integers(0, 2)
+    return rngs
+
+
+def same_state(a, b) -> bool:
+    """Equal bit_generator.state values, whose leaves may be arrays."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+def assert_replays(params: ExperimentParams, rngs, max_windows: int | None = None) -> None:
+    """The engine equals scalar_windows and repeated simulate_run, generator states included."""
+    rng, twin, steps = rngs
+    if max_windows is None:
+        runs = simulate_experiment(params, rng)
+    else:
+        runs = _simulate(params, rng, max_windows)
+    assert list(runs) == scalar_windows(params, twin, max_windows)
+    assert same_state(rng.bit_generator.state, twin.bit_generator.state)
+    assert same_runs(Runs.concat([simulate_run(params, steps) for _ in range(len(runs))]), runs)
+    assert same_state(steps.bit_generator.state, rng.bit_generator.state)
 
 
 class TestOptimizeWindow:
@@ -238,11 +271,17 @@ class TestSimulateRun:
 
     @pytest.mark.parametrize("task", [Task.A, Task.B])
     def test_experiment_is_simulate_run_repeated(self, task):
-        params = self.params(task=task, eta=0.6, visibility=0.8, n_target=300)
-        runs = simulate_experiment(params, RandomStream(3, 1).generator())
-        rng = RandomStream(3, 1).generator()
-        windows = [simulate_run(params, rng) for _ in range(len(runs))]
-        assert same_runs(runs, Runs.concat(windows))
+        params = self.params(task=task, n_parties=5, eta=0.6, visibility=0.8, n_target=150)
+        for bit_generator in BIT_GENERATORS:
+            for spare in (False, True):
+                assert_replays(params, generators(3, 3, bit_generator, spare))
+
+    def test_other_bit_generators_are_refused(self):
+        rng = np.random.Generator(np.random.MT19937(3))
+        with pytest.raises(TypeError, match="MT19937"):
+            simulate_run(self.params(), rng)
+        with pytest.raises(TypeError, match="MT19937"):
+            simulate_experiment(self.params(), rng)
 
 
 class TestReferenceEngine:
@@ -250,8 +289,27 @@ class TestReferenceEngine:
     @pytest.mark.parametrize("eta, vis", [(0.452, 0.932), (0.471, 0.9116), (1.0, 1.0), (0.0, 0.5)])
     def test_columns_equal_the_scalar_loop(self, task, eta, vis):
         params = ExperimentParams(task, 5, 5000.0, 200e-6, eta, vis, 400)
-        runs = simulate_experiment(params, RandomStream(8, 0).generator())
-        assert list(runs) == scalar_windows(params, RandomStream(8, 0).generator())
+        rng, twin = RandomStream(8, 0).generator(), RandomStream(8, 0).generator()
+        runs = simulate_experiment(params, rng)
+        assert list(runs) == scalar_windows(params, twin)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("task", [Task.A, Task.B])
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("mu", [0.5, 1.0, 3.0, 12.0])
+    def test_parties_and_trigger_means(self, monkeypatch, task, n, mu):
+        # mu 0.5 and 1 end on the target, 3 and 12 (numpy's PTRS sampler) on
+        # the window cap; small chunks put chunk ends inside windows
+        monkeypatch.setattr(experiment, "CHUNK_WORDS", 64)
+        params = ExperimentParams(task, n, 5000.0, mu / 5000.0, 0.6, 0.8, 40)
+        assert_replays(params, generators(3, n, spare=n % 2 == 1), max_windows=200)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_rounds_that_reject_every_proposal(self, monkeypatch, n):
+        # one proposal a round: about 36% of rounds reject and are re-parsed
+        monkeypatch.setattr(sampling, "MIN_PROPOSALS", 1)
+        params = ExperimentParams(Task.B, n, 5000.0, 200e-6, 0.6, 0.8, 100)
+        assert_replays(params, generators(3, n))
 
 
 class TestSimulateExperiment:
