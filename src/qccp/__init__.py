@@ -49,6 +49,7 @@ from .quantum import (
     initial_state,
     measure_probabilities,
     phase_encode,
+    plus_probability,
     quantum_fidelity,
     run_quantum,
     run_quantum_batch,
@@ -75,8 +76,11 @@ from .tasks import (
     PromiseViolationError,
     ReducedInput,
     Task,
+    check_domain,
+    coherence,
     compose,
     decompose,
+    decompose_batch,
     density_b,
     reduced_density,
     reduced_value,

@@ -34,7 +34,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .sampling import enumerate_a, enumerate_reduced_a, sample_inputs
-from .tasks import Task, decompose, task_value_batch
+from .tasks import Task, check_domain, decompose_batch, task_value_batch
 
 BRUTE_FORCE_MAX_PARTIES = 3
 
@@ -170,17 +170,6 @@ def _check_fit(protocol: Strategy, tree: CommTree) -> None:
         raise ValueError("strategy arity does not match tree")
 
 
-def _decompose_batch(task: Task, inputs: np.ndarray):
-    if task is Task.A:
-        x = inputs % 2
-        y = np.where(inputs < 2, 1.0, -1.0)
-    else:
-        flip = inputs >= math.pi
-        x = np.where(flip, inputs - math.pi, inputs)
-        y = np.where(flip, -1.0, 1.0)
-    return x, y
-
-
 _SendPlan = tuple[tuple[int, tuple[int, ...]], ...]
 
 
@@ -221,7 +210,7 @@ def _answers(protocol: Strategy, tree: CommTree, inputs: np.ndarray) -> np.ndarr
     if isinstance(protocol, GeneralProtocolA):
         state = _root_state(_send_plan(tree), protocol.tables, inputs)
         return protocol.tables[-1].ravel()[state]
-    x, y = _decompose_batch(_task_of(protocol), inputs)
+    x, y = decompose_batch(_task_of(protocol), inputs)
     if isinstance(protocol, ProductStrategyB):
         x = protocol.cell_index(x)
     local = protocol.signs[np.arange(tree.n_parties)[None, :], x]
@@ -233,9 +222,7 @@ def run_protocol(protocol: Strategy, tree: CommTree, inputs: Sequence) -> int:
     if len(inputs) != tree.n_parties:
         raise ValueError(f"expected {tree.n_parties} inputs, got {len(inputs)}")
     _check_fit(protocol, tree)
-    task = _task_of(protocol)
-    decompose(task, inputs)  # rejects digits outside 0..3, phases outside [0, 2*pi)
-    row = np.array([inputs], dtype=np.int64 if task is Task.A else np.float64)
+    row = check_domain(_task_of(protocol), [inputs])
     return int(_answers(protocol, tree, row)[0])
 
 

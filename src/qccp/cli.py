@@ -19,7 +19,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -139,6 +139,13 @@ def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
+
+
+def positive_float(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
     return value
 
 
@@ -476,16 +483,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
             "schema": "qccp-reproduce-v1",
             "seed": seed,
             "all_passed": all_passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "observed": c.observed,
-                    "expected": c.expected,
-                    "tolerance": c.tolerance,
-                    "passed": c.passed,
-                }
-                for c in checks
-            ],
+            "checks": [asdict(c) for c in checks],
         }
         text = _json_dumps(payload) if args.format == "structured-record" else _kv_table(
             {c.name: "PASS" if c.passed else "FAIL" for c in checks}
@@ -540,8 +538,8 @@ def build_parser() -> argparse.ArgumentParser:
     contrast = p.add_mutually_exclusive_group()
     contrast.add_argument("--gamma", type=float, default=None)
     contrast.add_argument("--visibility", type=float, default=None)
-    p.add_argument("--trigger-rate", dest="trigger_rate", type=float, default=None)
-    p.add_argument("--window", type=float, default=None)
+    p.add_argument("--trigger-rate", dest="trigger_rate", type=positive_float, default=None)
+    p.add_argument("--window", type=positive_float, default=None)
     p.add_argument("--block-size", dest="block_size", type=positive_int, default=500)
     common(p)
     p.set_defaults(func=cmd_experiment)

@@ -25,7 +25,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import replay, sampling
-from .quantum import _coherence
+from .quantum import plus_probability
 from .sampling import RandomStream
 from .tasks import Task, task_value_batch
 
@@ -37,8 +37,8 @@ class WindowChoice(NamedTuple):
 
 def optimize_window(trigger_rate: float) -> WindowChoice:
     """Window maximising P(exactly one Poisson trigger): 1/rate, prob e^-1."""
-    if trigger_rate <= 0.0:
-        raise ValueError("trigger_rate must be positive")
+    if not 0.0 < trigger_rate < math.inf:
+        raise ValueError(f"trigger_rate must be positive and finite, got {trigger_rate}")
     return WindowChoice(1.0 / trigger_rate, math.exp(-1.0))
 
 
@@ -80,8 +80,10 @@ class ExperimentParams:
     def __post_init__(self):
         if self.n_parties < 1:
             raise ValueError("n_parties must be >= 1")
-        if self.trigger_rate <= 0.0 or self.window <= 0.0:
-            raise ValueError("trigger_rate and window must be positive")
+        for name in ("trigger_rate", "window"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError("eta must lie in [0, 1]")
         if not 0.0 <= self.visibility <= 1.0:
@@ -397,10 +399,8 @@ def _simulate(params: ExperimentParams, rng: np.random.Generator, max_windows: i
     truth = task_value_batch(params.task, inputs)
     accepted = counts == 1
     detected = accepted & (u_det < params.eta)
-    # run_quantum's own arithmetic, row by row, so every answer matches it bit for bit
-    coherence = np.array([_coherence(params.task, row) for row in inputs[detected].tolist()])
     p_plus = np.full(windows, 0.5)
-    p_plus[detected] = (1.0 + params.visibility * coherence) / 2.0
+    p_plus[detected] = plus_probability(params.task, inputs[detected], params.visibility)
     answer = np.where(u_ans < p_plus, 1, -1)
     return Runs(inputs, counts, accepted, detected, ~detected, answer, truth)
 

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tasks import PromiseViolationError, Task
+from .tasks import PromiseViolationError, Task, coherence
 
 NORM_TOL = 1e-9
 
@@ -124,33 +124,11 @@ def exact_outcome_a(inputs: Sequence[int]) -> int:
     return phase.to_sign()
 
 
-def _coherence(task: Task, inputs: Sequence) -> float:
-    """cos(sum of encoded phases); exact +-1 integers on the task A path."""
-    if task is Task.A:
-        q = 0
-        for value in inputs:
-            q = (q + int(value)) % 4
-        return float(PhaseZ4(q).to_sign())
-    return math.cos(math.fsum(float(v) for v in inputs))
-
-
-def run_quantum(
-    task: Task,
-    inputs: Sequence,
-    visibility: float = 1.0,
-    rng: np.random.Generator | None = None,
-) -> int:
-    """Sample one protocol answer under visibility-limited interference.
-
-    Draws +-1 with P(+-) = (1 +- V cos(sum phases))/2.  With V = 1 this is
-    the ideal protocol (deterministic for task A); V = 0 is a fair coin.
-    """
+def plus_probability(task: Task, rows, visibility: float) -> np.ndarray:
+    """P(+1) = (1 + V cos(sum phases))/2 for each row of a (rows, N) input array."""
     if not 0.0 <= visibility <= 1.0:
         raise ValueError("visibility must lie in [0, 1]")
-    p_plus = (1.0 + visibility * _coherence(task, inputs)) / 2.0
-    if rng is None:
-        rng = np.random.default_rng()
-    return 1 if rng.random() < p_plus else -1
+    return (1.0 + visibility * coherence(task, rows)) / 2.0
 
 
 def run_quantum_batch(
@@ -159,19 +137,26 @@ def run_quantum_batch(
     visibility: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Vectorised :func:`run_quantum` over rows of a (runs, N) array."""
-    if not 0.0 <= visibility <= 1.0:
-        raise ValueError("visibility must lie in [0, 1]")
-    arr = np.asarray(inputs)
-    if task is Task.A:
-        q = arr.astype(np.int64).sum(axis=1) % 4
-        if np.any(q % 2):
-            raise PromiseViolationError("batch contains odd-sum tuples")
-        coherence = np.where(q == 0, 1.0, -1.0)
-    else:
-        coherence = np.cos(arr.sum(axis=1))
-    p_plus = (1.0 + visibility * coherence) / 2.0
-    return np.where(rng.random(len(arr)) < p_plus, 1, -1)
+    """Sample one protocol answer per row under visibility-limited interference.
+
+    Draws +-1 with P(+-) = (1 +- V cos(sum phases))/2, one ``rng.random``
+    value per row.  With V = 1 this is the ideal protocol (deterministic for
+    task A); V = 0 is a fair coin.
+    """
+    p_plus = plus_probability(task, inputs, visibility)
+    return np.where(rng.random(len(p_plus)) < p_plus, 1, -1)
+
+
+def run_quantum(
+    task: Task,
+    inputs: Sequence,
+    visibility: float = 1.0,
+    rng: np.random.Generator | None = None,
+) -> int:
+    """:func:`run_quantum_batch` on one input tuple (a fresh generator if none)."""
+    if rng is None:
+        rng = np.random.default_rng()
+    return int(run_quantum_batch(task, [inputs], visibility, rng)[0])
 
 
 def quantum_fidelity(task: Task, n_parties: int) -> float:

@@ -75,7 +75,7 @@ def sample_b(
     if n_parties < 1:
         raise ValueError("n_parties must be >= 1")
     needed = 1 if size is None else int(size)
-    chunks: list[np.ndarray] = []
+    chunks = [np.empty((0, n_parties))]  # size=0 draws nothing and still concatenates
     got = 0
     for _ in range(max_rounds):
         if got >= needed:

@@ -59,73 +59,79 @@ class ReducedInput:
     y: tuple
 
 
-def _as_digits(inputs: Sequence[int]) -> list[int]:
-    digits = [int(v) for v in inputs]
-    if len(digits) < 1:
-        raise ValueError("need at least one party")
-    if any(d < 0 or d > 3 for d in digits):
-        raise ValueError(f"task A digits must lie in 0..3, got {digits}")
-    return digits
+_DOMAINS = {
+    (Task.A, False): (4, "task A digits must lie in 0..3"),
+    (Task.A, True): (2, "reduced task A inputs are bits"),
+    (Task.B, False): (2.0 * math.pi, "task B inputs must lie in [0, 2*pi)"),
+    (Task.B, True): (math.pi, "reduced task B inputs must lie in [0, pi)"),
+}
 
 
-def _as_phases(inputs: Sequence[float]) -> list[float]:
-    phases = [float(v) for v in inputs]
-    if len(phases) < 1:
-        raise ValueError("need at least one party")
-    if any(not (0.0 <= v < 2.0 * math.pi) for v in phases):
-        raise ValueError("task B inputs must lie in [0, 2*pi)")
-    return phases
+def check_domain(task: Task, rows, reduced: bool = False) -> np.ndarray:
+    """Validate a (rows, N) input array, N >= 1, against the task's domain.
 
-
-def task_value(task: Task, inputs: Sequence, tie_eps: float = TIE_EPS) -> int:
-    """Evaluate the game's target sign on one input tuple.
-
-    Raises PromiseViolationError for odd-sum task-A tuples and CosineTieError
-    when a task-B cosine is within ``tie_eps`` of zero.
+    Returns the rows as int64 digits (task A) or float64 phases (task B).
+    ``reduced`` checks the reduced coordinates x instead.  NaN fails.
     """
-    if task is Task.A:
-        total = sum(_as_digits(inputs))
-        if total % 2:
-            raise PromiseViolationError(f"digit sum {total} is odd")
-        return 1 - (total % 4)
-    phases = _as_phases(inputs)
-    c = math.cos(math.fsum(phases))
-    if abs(c) < tie_eps:
-        raise CosineTieError(f"|cos(sum)| = {abs(c):.3e} below {tie_eps:.1e}")
-    return 1 if c > 0.0 else -1
+    arr = np.asarray(rows)
+    if arr.ndim != 2 or arr.shape[1] < 1:
+        raise ValueError(f"expected a (rows, N) array with N >= 1, got shape {arr.shape}")
+    hi, message = _DOMAINS[task, reduced]
+    if arr.size and not (0 <= arr.min() and arr.max() < hi):
+        raise ValueError(message)
+    return arr.astype(np.int64 if task is Task.A else np.float64, copy=False)
 
 
-def task_value_batch(task: Task, inputs: np.ndarray, tie_eps: float = TIE_EPS) -> np.ndarray:
-    """Vectorised :func:`task_value` over rows of a (runs, N) array."""
-    arr = np.asarray(inputs)
-    if arr.ndim != 2:
-        raise ValueError("expected a (runs, N) array")
-    if task is Task.A:
-        totals = arr.astype(np.int64).sum(axis=1)
-        if np.any(totals % 2):
-            raise PromiseViolationError("batch contains odd-sum tuples")
-        return 1 - (totals % 4)
-    c = np.cos(arr.sum(axis=1))
-    if np.any(np.abs(c) < tie_eps):
-        raise CosineTieError("batch contains cosine ties")
+def coherence(task: Task, rows) -> np.ndarray:
+    """cos(sum X) for each row of a (rows, N) input array.
+
+    Task A returns the exact integer +-1 from the digit sum mod 4 and raises
+    PromiseViolationError on odd sums; task B is numpy's cosine of the row sum.
+    """
+    arr = check_domain(task, rows)
+    if task is Task.B:
+        return np.cos(arr.sum(axis=1))
+    q = arr.sum(axis=1) % 4
+    if (q % 2).any():
+        raise PromiseViolationError("inputs contain odd-sum tuples")
+    return 1 - q
+
+
+def task_value_batch(task: Task, inputs) -> np.ndarray:
+    """The game's target sign, sign(cos(sum X)), for each row of a (runs, N) array.
+
+    Raises PromiseViolationError for odd-sum task-A rows and CosineTieError
+    when a task-B cosine is within TIE_EPS of zero.
+    """
+    c = coherence(task, inputs)
+    if (np.abs(c) < TIE_EPS).any():
+        raise CosineTieError(f"|cos(sum)| = {np.abs(c).min():.3e} below {TIE_EPS:.1e}")
     return np.where(c > 0.0, 1, -1)
 
 
-def decompose(task: Task, inputs: Sequence) -> ReducedInput:
+def task_value(task: Task, inputs: Sequence) -> int:
+    """:func:`task_value_batch` on one input tuple."""
+    return int(task_value_batch(task, [inputs])[0])
+
+
+def decompose_batch(task: Task, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split each X_k into its random sign y_k and reduced coordinate x_k.
 
     Task A: X_k = (1 - y_k) + x_k with x_k = X_k mod 2, y_k = +1 for X_k < 2.
     Task B: X_k = pi (1 - y_k)/2 + x_k with x_k in [0, pi).
+    Takes rows that passed :func:`check_domain`, and returns (x, y) arrays
+    of their shape; y is int64 +-1.
     """
     if task is Task.A:
-        digits = _as_digits(inputs)
-        x = tuple(d % 2 for d in digits)
-        y = tuple(1 if d < 2 else -1 for d in digits)
-        return ReducedInput(x=x, y=y)
-    phases = _as_phases(inputs)
-    x = tuple(v if v < math.pi else v - math.pi for v in phases)
-    y = tuple(1 if v < math.pi else -1 for v in phases)
-    return ReducedInput(x=x, y=y)
+        return inputs % 2, np.where(inputs < 2, 1, -1)
+    flip = inputs >= math.pi
+    return np.where(flip, inputs - math.pi, inputs), np.where(flip, -1, 1)
+
+
+def decompose(task: Task, inputs: Sequence) -> ReducedInput:
+    """:func:`decompose_batch` on one checked input tuple."""
+    x, y = decompose_batch(task, check_domain(task, [inputs]))
+    return ReducedInput(x=tuple(x[0].tolist()), y=tuple(y[0].tolist()))
 
 
 def compose(task: Task, reduced: ReducedInput) -> tuple:
@@ -137,34 +143,21 @@ def compose(task: Task, reduced: ReducedInput) -> tuple:
     )
 
 
-def reduced_value(task: Task, x: Sequence, tie_eps: float = TIE_EPS) -> int:
+def reduced_value(task: Task, x: Sequence) -> int:
     """The reduced target on x alone: task_value = prod(y) * reduced_value(x).
 
-    Task A: requires even bit parity, returns ``(-1)^(sum(x)/2)``.
-    Task B: sign of cos(sum x) on x in [0, pi)^N.
+    With every y_k = +1, X = x, so this is :func:`task_value` on the reduced
+    domain: ``(-1)^(sum(x)/2)`` on even-parity bits for task A, the sign of
+    cos(sum x) on [0, pi)^N for task B.
     """
-    if task is Task.A:
-        bits = [int(v) for v in x]
-        if any(b not in (0, 1) for b in bits):
-            raise ValueError("reduced task A inputs are bits")
-        total = sum(bits)
-        if total % 2:
-            raise PromiseViolationError(f"bit parity {total % 2} must be even")
-        return -1 if (total // 2) % 2 else 1
-    vals = [float(v) for v in x]
-    if any(not (0.0 <= v < math.pi) for v in vals):
-        raise ValueError("reduced task B inputs must lie in [0, pi)")
-    c = math.cos(math.fsum(vals))
-    if abs(c) < tie_eps:
-        raise CosineTieError(f"|cos(sum)| = {abs(c):.3e} below {tie_eps:.1e}")
-    return 1 if c > 0.0 else -1
+    check_domain(task, [x], reduced=True)
+    return task_value(task, x)
 
 
 def density_b(inputs: Sequence[float]) -> float:
     """Task B joint density |cos(sum X)| / (4 (2*pi)^(N-1)) on [0, 2*pi)^N."""
-    phases = _as_phases(inputs)
-    n = len(phases)
-    return abs(math.cos(math.fsum(phases))) / (4.0 * (2.0 * math.pi) ** (n - 1))
+    c = coherence(Task.B, [inputs])[0]
+    return abs(float(c)) / (4.0 * (2.0 * math.pi) ** (len(inputs) - 1))
 
 
 def reduced_density(task: Task, x: Sequence) -> float:
@@ -173,16 +166,8 @@ def reduced_density(task: Task, x: Sequence) -> float:
     Task A: uniform 2^-(N-1) on even-parity bit strings, 0 off support.
     Task B: |cos(sum x)| / (2 pi^(N-1)) on [0, pi)^N.
     """
+    row = check_domain(task, [x], reduced=True)
+    n = row.shape[1]
     if task is Task.A:
-        bits = [int(v) for v in x]
-        if any(b not in (0, 1) for b in bits):
-            raise ValueError("reduced task A inputs are bits")
-        n = len(bits)
-        if sum(bits) % 2:
-            return 0.0
-        return 2.0 ** (-(n - 1))
-    vals = [float(v) for v in x]
-    if any(not (0.0 <= v < math.pi) for v in vals):
-        raise ValueError("reduced task B inputs must lie in [0, pi)")
-    n = len(vals)
-    return abs(math.cos(math.fsum(vals))) / (2.0 * math.pi ** (n - 1))
+        return 0.0 if row.sum() % 2 else 2.0 ** (-(n - 1))
+    return abs(float(coherence(task, row)[0])) / (2.0 * math.pi ** (n - 1))

@@ -33,6 +33,16 @@ def quadrature_1d(fn, lo: float, hi: float, k: int) -> float:
     return float(np.sum(fn(x)) * (hi - lo) / k)
 
 
+def task_value_a(digits) -> int:
+    """Task A target of one promised tuple: 1 - (digit sum mod 4)."""
+    return 1 - sum(digits) % 4
+
+
+def task_value_b(phases) -> int:
+    """Task B target of one tuple: the sign of cos of the exactly rounded sum."""
+    return 1 if math.cos(math.fsum(phases)) > 0.0 else -1
+
+
 def even_sum_tuples(n_parties: int) -> list[tuple[int, ...]]:
     """All quaternary tuples with an even digit sum, brute force."""
     return [

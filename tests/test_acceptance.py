@@ -49,6 +49,7 @@ from qccp.experiment import ExperimentParams
 from qccp.sampling import _propose_b
 
 from oracles import binned_abs_cos_density, quadrature_nd
+from support import subprocess_env
 
 TWO_PI = 2.0 * math.pi
 BASE_SEED = 7
@@ -248,6 +249,7 @@ def test_criterion_11_reproducibility(tmp_path):
             ],
             capture_output=True,
             text=True,
+            env=subprocess_env(),
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "FAIL" not in proc.stdout

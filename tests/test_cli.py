@@ -339,6 +339,8 @@ BAD_VALUES = [
     ("optimize", "grid", "0"),
     ("experiment", "streams", "0"),
     ("experiment", "block-size", "0"),
+    ("experiment", "trigger-rate", "nan"),
+    ("experiment", "window", "inf"),
     ("certify", "tree", "chian"),
     ("bounds", "format", "xml"),
 ]

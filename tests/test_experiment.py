@@ -113,8 +113,9 @@ class TestOptimizeWindow:
         assert p_one.max() <= math.exp(-1.0) + 1e-12
 
     def test_rejects_nonpositive_rate(self):
-        with pytest.raises(ValueError):
-            optimize_window(0.0)
+        for rate in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="trigger_rate"):
+                optimize_window(rate)
 
 
 class TestGammaVisibility:
@@ -208,6 +209,11 @@ class TestParamsAndRecords:
             ExperimentParams(Task.A, 5, -1.0, 200e-6, eta=0.5, visibility=1.0, n_target=10)
         with pytest.raises(ValueError):
             ExperimentParams(Task.A, 0, 5000.0, 200e-6, eta=0.5, visibility=1.0, n_target=10)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="trigger_rate"):
+                ExperimentParams(Task.A, 5, bad, 200e-6, eta=0.5, visibility=1.0, n_target=10)
+            with pytest.raises(ValueError, match="window"):
+                ExperimentParams(Task.A, 5, 5000.0, bad, eta=0.5, visibility=1.0, n_target=10)
 
     def test_record_invariants(self):
         window = dict(inputs=[[0, 0]], trigger_count=[1], accepted=[True], detected=[True],

@@ -52,6 +52,16 @@ def test_one_row_samplers_draw_as_size_one(n):
         assert rng.bit_generator.state == twin.bit_generator.state
 
 
+@pytest.mark.parametrize("sampler", [sample_a, sample_b])
+def test_zero_rows_draw_nothing(sampler):
+    rng = RandomStream(3, 0).generator()
+    before = rng.bit_generator.state
+    rows = sampler(4, rng, size=0)
+    assert rows.shape == (0, 4)
+    assert rows.dtype == (np.int64 if sampler is sample_a else np.float64)
+    assert rng.bit_generator.state == before
+
+
 class TestSampleA:
     def test_single_party_support(self):
         rng = RandomStream(0, 0).generator()

@@ -1,22 +1,19 @@
 """Smoke runs of the scripts under ``scripts/`` as subprocesses."""
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 from qccp import Task, classical_bound
 
-ROOT = Path(__file__).resolve().parents[1]
+from support import ROOT, subprocess_env
 
 
 def run_script(name: str, *args: str) -> list[str]:
-    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
-        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120, env=subprocess_env(),
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()

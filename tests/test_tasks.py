@@ -8,18 +8,22 @@ from hypothesis import strategies as st
 from qccp import (
     CosineTieError,
     PromiseViolationError,
+    ReducedInput,
     Task,
     compose,
     decompose,
+    decompose_batch,
     density_b,
     enumerate_a,
     reduced_density,
     reduced_value,
+    run_quantum,
+    run_quantum_batch,
     task_value,
     task_value_batch,
 )
 
-from oracles import quadrature_nd
+from oracles import quadrature_nd, task_value_a, task_value_b
 
 TWO_PI = 2.0 * math.pi
 
@@ -58,7 +62,13 @@ class TestTaskValue:
         with pytest.raises(ValueError):
             task_value(Task.B, (TWO_PI,))
         with pytest.raises(ValueError):
+            task_value(Task.B, (math.nan,))
+        with pytest.raises(ValueError):
             task_value(Task.A, ())
+        with pytest.raises(ValueError, match="0..3"):
+            task_value_batch(Task.A, np.array([[0, 0], [4, 0], [1, 1]]))
+        with pytest.raises(ValueError, match="2\\*pi"):
+            task_value_batch(Task.B, np.array([[0.5, 0.25], [0.5, TWO_PI]]))
 
     @given(st.lists(st.integers(0, 3), min_size=1, max_size=8))
     def test_task_a_is_permutation_invariant(self, digits):
@@ -70,13 +80,13 @@ class TestTaskValue:
     def test_batch_matches_scalar(self):
         tuples, _ = enumerate_a(4)
         batch = task_value_batch(Task.A, tuples)
-        assert all(task_value(Task.A, row) == b for row, b in zip(tuples.tolist(), batch))
+        assert batch.tolist() == [task_value_a(row) for row in tuples.tolist()]
 
     def test_batch_b_matches_scalar(self):
         rng = np.random.default_rng(3)
         inputs = rng.uniform(0.0, TWO_PI, size=(50, 3))
         batch = task_value_batch(Task.B, inputs)
-        assert all(task_value(Task.B, row) == b for row, b in zip(inputs.tolist(), batch))
+        assert batch.tolist() == [task_value_b(row) for row in inputs.tolist()]
 
 
 class TestDecomposition:
@@ -203,3 +213,45 @@ class TestDensities:
                 assert 2.0**-n * reduced_density(Task.A, reduced.x) == pytest.approx(
                     w, rel=1e-15
                 )
+
+
+def promised_rows(task: Task):
+    """1-6 input rows of one width in the task's domain; task A sums are even."""
+    if task is Task.A:
+        cell = st.integers(0, 3)
+    else:
+        cell = st.floats(0.0, TWO_PI, exclude_max=True, allow_nan=False)
+
+    def rows(n):
+        row = st.lists(cell, min_size=n, max_size=n)
+        if task is Task.A:
+            # flipping the last digit's low bit makes an odd sum even
+            row = row.map(lambda r: r[:-1] + [r[-1] ^ (sum(r) % 2)])
+        return st.lists(row, min_size=1, max_size=6)
+
+    return st.integers(1, 6).flatmap(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    task=st.sampled_from(Task),
+    visibility=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32),
+)
+def test_one_row_calls_equal_their_batch_rows(data, task, visibility, seed):
+    rows = data.draw(promised_rows(task))
+    if task is Task.B:
+        assume(all(abs(math.cos(math.fsum(row))) > 1e-9 for row in rows))
+    values = task_value_batch(task, rows)
+    assert [task_value(task, row) for row in rows] == values.tolist()
+    x, y = decompose_batch(task, np.array(rows))
+    for i, row in enumerate(rows):
+        assert decompose(task, row) == ReducedInput(tuple(x[i].tolist()), tuple(y[i].tolist()))
+    if task is Task.A or all(abs(math.cos(math.fsum(r))) > 1e-9 for r in x.tolist()):
+        reduced = task_value_batch(task, x)
+        assert [reduced_value(task, r) for r in x.tolist()] == reduced.tolist()
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    answers = run_quantum_batch(task, rows, visibility, twin)
+    assert [run_quantum(task, row, visibility, rng) for row in rows] == answers.tolist()
+    assert rng.bit_generator.state == twin.bit_generator.state
