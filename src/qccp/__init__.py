@@ -74,12 +74,10 @@ from .stats import (
 from .tasks import (
     CosineTieError,
     PromiseViolationError,
-    ReducedInput,
     Task,
     check_domain,
     coherence,
     compose,
-    decompose,
     decompose_batch,
     density_b,
     reduced_density,

@@ -252,6 +252,11 @@ def _cell_integrals(cells: int) -> np.ndarray:
     return (expo[1:] - expo[:-1]) / 1j
 
 
+def _fidelity_b(z: np.ndarray) -> float:
+    """|Re prod_k z_k| / (2 pi^(N-1)): the task B fidelity from each party's z_k."""
+    return abs(float(np.prod(z).real)) / (2.0 * math.pi ** (len(z) - 1))
+
+
 def fidelity_exact_b(strategy: ProductStrategyB) -> float:
     """Exact fidelity of a task B product strategy.
 
@@ -260,9 +265,7 @@ def fidelity_exact_b(strategy: ProductStrategyB) -> float:
     multi-dimensional integral is evaluated from per-cell antiderivatives
     with no quadrature error beyond float rounding.
     """
-    n = strategy.n_parties
-    z = strategy.signs.astype(np.float64) @ _cell_integrals(strategy.cells)
-    return abs(float(np.prod(z).real)) / (2.0 * math.pi ** (n - 1))
+    return _fidelity_b(strategy.signs.astype(np.float64) @ _cell_integrals(strategy.cells))
 
 
 def fidelity_mc(
@@ -428,8 +431,7 @@ def coordinate_ascent_b(init: ProductStrategyB, max_sweeps: int = 500) -> Ascent
     cell_int = _cell_integrals(init.cells)
     signs = init.signs.astype(np.float64).copy()
     z = signs @ cell_int
-    norm = 2.0 * math.pi ** (n - 1)
-    trace = [abs(float(np.prod(z).real)) / norm]
+    trace = [_fidelity_b(z)]
     for _ in range(max_sweeps):
         changed = False
         for k in range(n):
@@ -440,7 +442,7 @@ def coordinate_ascent_b(init: ProductStrategyB, max_sweeps: int = 500) -> Ascent
                 signs[k] = new
                 z[k] = new @ cell_int
                 changed = True
-        trace.append(abs(float(np.prod(z).real)) / norm)
+        trace.append(_fidelity_b(z))
         if not changed:
             break
     return AscentResult(ProductStrategyB(signs.astype(np.int64)), tuple(trace))
@@ -472,12 +474,9 @@ def optimize_strategy_b(
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    best: OptimizeResult | None = None
-    finals: list[float] = []
-    for _ in range(restarts):
-        strategy, trace = coordinate_ascent_b(random_strategy_b(n_parties, cells, rng))
-        finals.append(trace[-1])
-        if best is None or trace[-1] > best.fidelity:
-            best = OptimizeResult(strategy, trace[-1], trace, ())
-    assert best is not None
-    return OptimizeResult(best.strategy, best.fidelity, best.trace, tuple(finals))
+    runs = [
+        coordinate_ascent_b(random_strategy_b(n_parties, cells, rng)) for _ in range(restarts)
+    ]
+    finals = tuple(trace[-1] for _, trace in runs)
+    strategy, trace = runs[finals.index(max(finals))]
+    return OptimizeResult(strategy, trace[-1], trace, finals)

@@ -147,15 +147,8 @@ def run_quantum_batch(
     return np.where(rng.random(len(p_plus)) < p_plus, 1, -1)
 
 
-def run_quantum(
-    task: Task,
-    inputs: Sequence,
-    visibility: float = 1.0,
-    rng: np.random.Generator | None = None,
-) -> int:
-    """:func:`run_quantum_batch` on one input tuple (a fresh generator if none)."""
-    if rng is None:
-        rng = np.random.default_rng()
+def run_quantum(task: Task, inputs: Sequence, visibility: float, rng: np.random.Generator) -> int:
+    """:func:`run_quantum_batch` on one input tuple."""
     return int(run_quantum_batch(task, [inputs], visibility, rng)[0])
 
 

@@ -9,7 +9,6 @@ meant to split work.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -94,34 +93,28 @@ def proposals_per_round(needed: int) -> int:
     return max(MIN_PROPOSALS, int(needed / (2.0 / math.pi) * 1.1))
 
 
+def _even_sum_strings(base: int, n_parties: int) -> np.ndarray:
+    """All length-N base-``base`` digit strings with an even digit sum, in lexicographic order."""
+    strings = np.arange(base**n_parties)[:, None] // base ** np.arange(n_parties - 1, -1, -1) % base
+    return strings[strings.sum(axis=1) % 2 == 0]
+
+
 def enumerate_a(n_parties: int) -> tuple[np.ndarray, np.ndarray]:
     """All even-sum quaternary tuples with their uniform weights 2/4^N.
 
-    Returns (tuples, weights) with tuples of shape (4^N/2, N).  Supports
-    N <= 10 (524288 tuples); larger N should be sampled instead.
+    Returns (tuples, weights) with tuples of shape (4^N/2, N) in
+    lexicographic order.  Supports N <= 10 (524288 tuples); larger N should
+    be sampled instead.
     """
     if not 1 <= n_parties <= MAX_ENUM_PARTIES:
         raise ValueError(f"enumeration supports 1 <= N <= {MAX_ENUM_PARTIES}")
-    prefixes = np.array(
-        list(itertools.product(range(4), repeat=n_parties - 1)), dtype=np.int64
-    ).reshape(4 ** (n_parties - 1), n_parties - 1)
-    parity = prefixes.sum(axis=1) % 2
-    low = np.concatenate([prefixes, parity[:, None]], axis=1)
-    high = np.concatenate([prefixes, (parity + 2)[:, None]], axis=1)
-    tuples = np.concatenate([low, high], axis=0)
-    # canonical row order for reproducible reports
-    order = np.lexsort(tuples.T[::-1])
-    tuples = tuples[order]
-    weights = np.full(len(tuples), 2.0 / 4.0**n_parties)
-    return tuples, weights
+    tuples = _even_sum_strings(4, n_parties)
+    return tuples, np.full(len(tuples), 2.0 / 4.0**n_parties)
 
 
 def enumerate_reduced_a(n_parties: int) -> np.ndarray:
     """All even-parity bit strings of length N, shape (2^(N-1), N)."""
-    bits = np.array(
-        list(itertools.product((0, 1), repeat=n_parties)), dtype=np.int64
-    ).reshape(-1, n_parties)
-    return bits[bits.sum(axis=1) % 2 == 0]
+    return _even_sum_strings(2, n_parties)
 
 
 def sample_inputs(

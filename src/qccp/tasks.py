@@ -23,7 +23,6 @@ every sampler and fidelity sum in this package uses it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -49,14 +48,6 @@ class CosineTieError(ValueError):
     The event has probability zero under the task density, so hitting it
     signals bad inputs rather than bad luck.
     """
-
-
-@dataclass(frozen=True)
-class ReducedInput:
-    """Per-party decomposition X_k -> (x_k, y_k) with y_k in {-1,+1}."""
-
-    x: tuple
-    y: tuple
 
 
 _DOMAINS = {
@@ -128,19 +119,19 @@ def decompose_batch(task: Task, inputs: np.ndarray) -> tuple[np.ndarray, np.ndar
     return np.where(flip, inputs - math.pi, inputs), np.where(flip, -1, 1)
 
 
-def decompose(task: Task, inputs: Sequence) -> ReducedInput:
-    """:func:`decompose_batch` on one checked input tuple."""
-    x, y = decompose_batch(task, check_domain(task, [inputs]))
-    return ReducedInput(x=tuple(x[0].tolist()), y=tuple(y[0].tolist()))
+def compose(task: Task, x, y) -> np.ndarray:
+    """Row inverse of :func:`decompose_batch`: X from (rows, N) arrays x and y.
 
-
-def compose(task: Task, reduced: ReducedInput) -> tuple:
-    """Inverse of :func:`decompose` (bit-exact for A, within 1 ulp for B)."""
+    Bit-exact for task A; within 1 ulp for task B, where X_k = pi + x_k
+    when y_k = -1.
+    """
+    x = check_domain(task, x, reduced=True)
+    y = np.asarray(y)
+    if y.shape != x.shape or not np.isin(y, (-1, 1)).all():
+        raise ValueError(f"y must be a +-1 array of shape {x.shape}")
     if task is Task.A:
-        return tuple((1 - yk) + xk for xk, yk in zip(reduced.x, reduced.y))
-    return tuple(
-        xk if yk == 1 else math.pi + xk for xk, yk in zip(reduced.x, reduced.y)
-    )
+        return (1 - y) + x
+    return np.where(y == 1, x, math.pi + x)
 
 
 def reduced_value(task: Task, x: Sequence) -> int:
@@ -154,20 +145,20 @@ def reduced_value(task: Task, x: Sequence) -> int:
     return task_value(task, x)
 
 
-def density_b(inputs: Sequence[float]) -> float:
-    """Task B joint density |cos(sum X)| / (4 (2*pi)^(N-1)) on [0, 2*pi)^N."""
-    c = coherence(Task.B, [inputs])[0]
-    return abs(float(c)) / (4.0 * (2.0 * math.pi) ** (len(inputs) - 1))
+def density_b(rows) -> np.ndarray:
+    """Task B joint density |cos(sum X)| / (4 (2*pi)^(N-1)) of each row on [0, 2*pi)^N."""
+    c = coherence(Task.B, rows)
+    return np.abs(c) / (4.0 * (2.0 * math.pi) ** (np.shape(rows)[1] - 1))
 
 
-def reduced_density(task: Task, x: Sequence) -> float:
-    """Density of the reduced coordinates; satisfies p(X) = 2^-N * p'(x).
+def reduced_density(task: Task, x) -> np.ndarray:
+    """Density of each row of reduced coordinates; p(X) = 2^-N * p'(x).
 
     Task A: uniform 2^-(N-1) on even-parity bit strings, 0 off support.
     Task B: |cos(sum x)| / (2 pi^(N-1)) on [0, pi)^N.
     """
-    row = check_domain(task, [x], reduced=True)
-    n = row.shape[1]
+    rows = check_domain(task, x, reduced=True)
+    n = rows.shape[1]
     if task is Task.A:
-        return 0.0 if row.sum() % 2 else 2.0 ** (-(n - 1))
-    return abs(float(coherence(task, row)[0])) / (2.0 * math.pi ** (n - 1))
+        return np.where(rows.sum(axis=1) % 2, 0.0, 2.0 ** (-(n - 1)))
+    return np.abs(coherence(task, rows)) / (2.0 * math.pi ** (n - 1))

@@ -21,8 +21,9 @@ from qccp import (
     Task,
     brute_force_bound_a,
     classical_bound,
+    check_domain,
     coordinate_ascent_b,
-    decompose,
+    decompose_batch,
     density_b,
     enumerate_a,
     exact_outcome_a,
@@ -35,7 +36,6 @@ from qccp import (
     predicted_success,
     quantum_fidelity,
     random_strategy_b,
-    reduced_value,
     run_quantum_batch,
     sample_a,
     sample_b,
@@ -166,26 +166,21 @@ class TestCriterion10PropertySuite:
     def test_decomposition_identity_exhaustive_a(self):
         for n in range(1, 7):
             tuples, _ = enumerate_a(n)
-            for row in tuples.tolist():
-                reduced = decompose(Task.A, row)
-                assert task_value(Task.A, row) == math.prod(reduced.y) * reduced_value(
-                    Task.A, reduced.x
-                )
+            x, y = decompose_batch(Task.A, tuples)
+            reduced = task_value_batch(Task.A, check_domain(Task.A, x, reduced=True))
+            assert np.array_equal(task_value_batch(Task.A, tuples), np.prod(y, axis=1) * reduced)
 
     def test_decomposition_identity_random_b(self):
         rng = RandomStream(BASE_SEED, 5).generator()
         for n in range(1, 7):
-            for row in rng.uniform(0.0, TWO_PI, size=(17_000, n)).tolist():
-                reduced = decompose(Task.B, row)
-                assert task_value(Task.B, row) == math.prod(reduced.y) * reduced_value(
-                    Task.B, reduced.x
-                )
+            rows = rng.uniform(0.0, TWO_PI, size=(17_000, n))
+            x, y = decompose_batch(Task.B, rows)
+            reduced = task_value_batch(Task.B, check_domain(Task.B, x, reduced=True))
+            assert np.array_equal(task_value_batch(Task.B, rows), np.prod(y, axis=1) * reduced)
 
     @pytest.mark.parametrize("n,k", [(1, 4096), (2, 512), (3, 128)])
     def test_density_normalization(self, n, k):
-        total = quadrature_nd(
-            lambda pts: np.array([density_b(row) for row in pts]), 0.0, TWO_PI, n, k
-        )
+        total = quadrature_nd(density_b, 0.0, TWO_PI, n, k)
         assert total == pytest.approx(1.0, abs=1e-3)
 
     def test_sampler_chi_square_a(self):

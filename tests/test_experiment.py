@@ -261,8 +261,14 @@ class TestSimulateRun:
         assert np.count_nonzero(accepted) > 500
 
     def test_eta_zero_guesses_at_coin_rate(self):
-        rng = RandomStream(1, 0).generator()
-        runs = Runs.concat([simulate_run(self.params(eta=0.0), rng) for _ in range(30_000)])
+        # one engine call makes the windows of 30,000 simulate_run calls; the
+        # first 200 are checked against those calls on a twin generator
+        params = self.params(eta=0.0)
+        rng, twin = RandomStream(1, 0).generator(), RandomStream(1, 0).generator()
+        runs = _simulate(dataclasses.replace(params, n_target=30_000), rng, max_windows=30_000)
+        assert len(runs) == 30_000
+        head = Runs.concat([simulate_run(params, twin) for _ in range(200)])
+        assert all(np.array_equal(getattr(head, c), getattr(runs, c)[:200]) for c in COLUMNS)
         accepted = runs.accepted
         assert runs.guessed[accepted].all() and not runs.detected[accepted].any()
         p_hat = np.mean(runs.correct[accepted])

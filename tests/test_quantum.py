@@ -196,7 +196,7 @@ class TestRunQuantum:
 
     def test_visibility_domain(self):
         with pytest.raises(ValueError):
-            run_quantum(Task.A, (0, 0), 1.5)
+            run_quantum(Task.A, (0, 0), 1.5, RandomStream(0, 0).generator())
         with pytest.raises(ValueError):
             run_quantum_batch(Task.A, np.zeros((1, 2), dtype=int), -0.1, RandomStream(0, 0).generator())
 
@@ -218,12 +218,12 @@ class TestFidelityIntegral:
         xs = (np.arange(k) + 0.5) * TWO_PI / k
         grid = np.stack(np.meshgrid(*([xs] * n), indexing="ij"), axis=-1).reshape(-1, n)
         total = 0.0
-        for row in grid:
+        for row, density in zip(grid, density_b(grid)):
             c = math.cos(row.sum())
             if abs(c) < 1e-9:
                 continue
             truth = 1.0 if c > 0 else -1.0
-            total += density_b(row) * truth * self._expectation(row)
+            total += density * truth * self._expectation(row)
         total *= (TWO_PI / k) ** n
         assert total == pytest.approx(math.pi / 4.0, abs=1e-3)
 

@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 from qccp import (
     CosineTieError,
     PromiseViolationError,
-    ReducedInput,
     Task,
+    check_domain,
     compose,
-    decompose,
     decompose_batch,
     density_b,
     enumerate_a,
@@ -89,20 +88,25 @@ class TestTaskValue:
         assert batch.tolist() == [task_value_b(row) for row in inputs.tolist()]
 
 
+def reduced_values(task: Task, x) -> np.ndarray:
+    """:func:`reduced_value` on each row: the target on the checked reduced domain."""
+    return task_value_batch(task, check_domain(task, x, reduced=True))
+
+
 class TestDecomposition:
     def test_task_a_digit_examples(self):
-        assert decompose(Task.A, (3,)) == decompose(Task.A, [3])
-        assert decompose(Task.A, (3,)).x == (1,) and decompose(Task.A, (3,)).y == (-1,)
-        assert decompose(Task.A, (0,)).x == (0,) and decompose(Task.A, (0,)).y == (1,)
+        x, y = decompose_batch(Task.A, check_domain(Task.A, [[3], [0]]))
+        assert x.tolist() == [[1], [0]] and y.tolist() == [[-1], [1]]
 
     def test_task_b_example(self):
-        reduced = decompose(Task.B, (1.5 * math.pi,))
-        assert reduced.y == (-1,)
-        assert abs(reduced.x[0] - math.pi / 2) < 1e-15
+        x, y = decompose_batch(Task.B, check_domain(Task.B, [[1.5 * math.pi]]))
+        assert y.tolist() == [[-1]]
+        assert abs(x[0, 0] - math.pi / 2) < 1e-15
 
     @given(st.lists(st.integers(0, 3), min_size=1, max_size=10))
     def test_compose_round_trip_a_is_bit_exact(self, digits):
-        assert compose(Task.A, decompose(Task.A, digits)) == tuple(digits)
+        x, y = decompose_batch(Task.A, check_domain(Task.A, [digits]))
+        assert compose(Task.A, x, y).tolist() == [digits]
 
     @given(
         st.lists(
@@ -112,31 +116,37 @@ class TestDecomposition:
         )
     )
     def test_compose_round_trip_b_within_one_ulp(self, phases):
-        back = compose(Task.B, decompose(Task.B, phases))
-        for orig, new in zip(phases, back):
+        back = compose(Task.B, *decompose_batch(Task.B, check_domain(Task.B, [phases])))
+        for orig, new in zip(phases, back[0].tolist()):
             assert abs(new - orig) <= math.ulp(max(orig, 1.0))
+
+    def test_compose_checks_its_inputs(self):
+        with pytest.raises(ValueError):
+            compose(Task.A, [[2, 0]], [[1, 1]])
+        with pytest.raises(ValueError):
+            compose(Task.B, [[math.pi]], [[1]])
+        with pytest.raises(ValueError, match="y must be"):
+            compose(Task.A, [[1, 1]], [[1, 0]])
+        with pytest.raises(ValueError, match="y must be"):
+            compose(Task.B, [[0.5, 0.5]], [[1]])
 
     def test_identity_exhaustive_a_through_n6(self):
         # task_value(X) == prod(y) * reduced_value(x) on every promised tuple
         for n in range(1, 7):
             tuples, _ = enumerate_a(n)
-            for row in tuples.tolist():
-                reduced = decompose(Task.A, row)
-                lhs = task_value(Task.A, row)
-                rhs = math.prod(reduced.y) * reduced_value(Task.A, reduced.x)
-                assert lhs == rhs
+            x, y = decompose_batch(Task.A, tuples)
+            lhs = task_value_batch(Task.A, tuples)
+            assert np.array_equal(lhs, np.prod(y, axis=1) * reduced_values(Task.A, x))
 
     def test_identity_random_b(self):
         rng = np.random.default_rng(11)
         checked = 0
         for n in range(1, 7):
             inputs = rng.uniform(0.0, TWO_PI, size=(17_000, n))
-            for row in inputs.tolist():
-                reduced = decompose(Task.B, row)
-                lhs = task_value(Task.B, row)
-                rhs = math.prod(reduced.y) * reduced_value(Task.B, reduced.x)
-                assert lhs == rhs
-                checked += 1
+            x, y = decompose_batch(Task.B, inputs)
+            lhs = task_value_batch(Task.B, inputs)
+            assert np.array_equal(lhs, np.prod(y, axis=1) * reduced_values(Task.B, x))
+            checked += len(inputs)
         assert checked >= 100_000
 
 
@@ -159,34 +169,34 @@ class TestReducedValue:
 
 class TestDensities:
     def test_density_b_values(self):
-        assert density_b((0.0,)) == pytest.approx(0.25, abs=1e-15)
-        assert density_b((0.0, math.pi / 2)) == pytest.approx(0.0, abs=1e-15)
+        assert density_b([(0.0,)]).tolist() == pytest.approx([0.25], abs=1e-15)
+        assert density_b([(0.0, math.pi / 2)]).tolist() == pytest.approx([0.0], abs=1e-15)
 
     @pytest.mark.parametrize("n,k", [(1, 4096), (2, 512), (3, 128)])
     def test_density_b_normalises(self, n, k):
-        total = quadrature_nd(
-            lambda pts: np.abs(np.cos(pts.sum(axis=1))) / (4.0 * TWO_PI ** (n - 1)),
-            0.0,
-            TWO_PI,
-            n,
-            k,
-        )
+        total = quadrature_nd(density_b, 0.0, TWO_PI, n, k)
         assert total == pytest.approx(1.0, abs=1e-3)
 
     def test_reduced_density_a(self):
-        assert reduced_density(Task.A, (0, 0, 1, 1, 0)) == pytest.approx(1 / 16, abs=0)
-        assert reduced_density(Task.A, (1, 0)) == 0.0
+        assert reduced_density(Task.A, [(0, 0, 1, 1, 0)]).tolist() == [1 / 16]
+        assert reduced_density(Task.A, [(1, 0), (1, 1)]).tolist() == [0.0, 0.5]
 
     def test_reduced_density_b_values(self):
-        assert reduced_density(Task.B, (0.0,)) == pytest.approx(0.5, abs=1e-15)
-        got = reduced_density(Task.B, (math.pi / 2, math.pi / 2))
-        assert got == pytest.approx(1.0 / TWO_PI, rel=1e-12)
+        assert reduced_density(Task.B, [(0.0,)]).tolist() == pytest.approx([0.5], abs=1e-15)
+        got = reduced_density(Task.B, [(math.pi / 2, math.pi / 2)])
+        assert got.tolist() == pytest.approx([1.0 / TWO_PI], rel=1e-12)
 
     def test_reduced_density_b_normalises(self):
-        total = quadrature_nd(
-            lambda pts: np.abs(np.cos(pts.sum(axis=1))) / 2.0, 0.0, math.pi, 1, 8192
-        )
+        total = quadrature_nd(lambda pts: reduced_density(Task.B, pts), 0.0, math.pi, 1, 8192)
         assert total == pytest.approx(1.0, abs=1e-3)
+
+    def test_densities_check_their_domains(self):
+        with pytest.raises(ValueError, match="2\\*pi"):
+            density_b([(0.5, TWO_PI)])
+        with pytest.raises(ValueError, match="bits"):
+            reduced_density(Task.A, [(0, 2)])
+        with pytest.raises(ValueError, match="\\[0, pi\\)"):
+            reduced_density(Task.B, [(math.pi,)])
 
     @settings(max_examples=60)
     @given(
@@ -200,19 +210,17 @@ class TestDensities:
         # composing shifts the argument by multiples of float pi, so the
         # relative comparison is only meaningful away from the cosine zeros
         assume(abs(math.cos(math.fsum(phases))) > 1e-6)
-        reduced = decompose(Task.B, phases)
-        joint = density_b(compose(Task.B, reduced))
-        factored = 2.0 ** (-len(phases)) * reduced_density(Task.B, reduced.x)
-        assert joint == pytest.approx(factored, rel=1e-12)
+        x, y = decompose_batch(Task.B, check_domain(Task.B, [phases]))
+        joint = density_b(compose(Task.B, x, y))
+        factored = 2.0 ** (-len(phases)) * reduced_density(Task.B, x)
+        assert joint.tolist() == pytest.approx(factored.tolist(), rel=1e-12)
 
     def test_reduced_density_consistent_a(self):
         for n in range(1, 6):
             tuples, weights = enumerate_a(n)
-            for row, w in zip(tuples.tolist(), weights):
-                reduced = decompose(Task.A, row)
-                assert 2.0**-n * reduced_density(Task.A, reduced.x) == pytest.approx(
-                    w, rel=1e-15
-                )
+            x, _ = decompose_batch(Task.A, tuples)
+            factored = 2.0**-n * reduced_density(Task.A, x)
+            assert factored.tolist() == pytest.approx(weights.tolist(), rel=1e-15)
 
 
 def promised_rows(task: Task):
@@ -245,9 +253,7 @@ def test_one_row_calls_equal_their_batch_rows(data, task, visibility, seed):
         assume(all(abs(math.cos(math.fsum(row))) > 1e-9 for row in rows))
     values = task_value_batch(task, rows)
     assert [task_value(task, row) for row in rows] == values.tolist()
-    x, y = decompose_batch(task, np.array(rows))
-    for i, row in enumerate(rows):
-        assert decompose(task, row) == ReducedInput(tuple(x[i].tolist()), tuple(y[i].tolist()))
+    x, _ = decompose_batch(task, np.array(rows))
     if task is Task.A or all(abs(math.cos(math.fsum(r))) > 1e-9 for r in x.tolist()):
         reduced = task_value_batch(task, x)
         assert [reduced_value(task, r) for r in x.tolist()] == reduced.tolist()
