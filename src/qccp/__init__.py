@@ -42,13 +42,9 @@ from .experiment import (
     visibility_from_gamma,
 )
 from .quantum import (
-    PhaseZ4,
-    QubitState,
     exact_outcome_a,
     final_state,
-    initial_state,
     measure_probabilities,
-    phase_encode,
     plus_probability,
     quantum_fidelity,
     run_quantum,

@@ -312,18 +312,19 @@ def classical_bound(task: Task, n_parties: int) -> ClassicalBound:
 # --- exhaustive searches ---------------------------------------------------
 
 
-def _product_signs_a(index, n_parties: int) -> np.ndarray:
-    """Sign tables of product strategy indices: a_k(x) = -1 where bit 2k+x is set.
+def _sign_tables(index, shape: tuple[int, int]) -> np.ndarray:
+    """+-1 tables of a 2-D shape decoded from integer indexes.
 
-    An integer index gives one (N, 2) table; an index array gives one per entry.
+    Entry e of a table, in C order, is -1 where bit e of its index is set.
+    An integer index gives one table; an index array gives one per entry.
     """
-    shifts = 2 * np.arange(n_parties)[:, None] + np.arange(2)[None, :]
-    return 1 - 2 * ((np.asarray(index, dtype=np.int64)[..., None, None] >> shifts) & 1)
+    bits = np.arange(shape[0] * shape[1]).reshape(shape)
+    return 1 - 2 * ((np.asarray(index, dtype=np.int64)[..., None, None] >> bits) & 1)
 
 
 def product_strategy_a_from_index(index: int, n_parties: int) -> ProductStrategyA:
-    """Decode one of the 4^N product strategies; party 0 is the low digit."""
-    return ProductStrategyA(_product_signs_a(index, n_parties))
+    """Decode one of the 4^N product strategies: a_k(x) = -1 where bit 2k+x is set."""
+    return ProductStrategyA(_sign_tables(index, (n_parties, 2)))
 
 
 def exhaust_product_strategies_a(n_parties: int) -> tuple[np.ndarray, int]:
@@ -332,7 +333,7 @@ def exhaust_product_strategies_a(n_parties: int) -> tuple[np.ndarray, int]:
     Returns (fidelities over all 4^N indices, argmax index); ties resolve to
     the lowest index.
     """
-    fids = _fidelities_a(_product_signs_a(np.arange(4**n_parties), n_parties))
+    fids = _fidelities_a(_sign_tables(np.arange(4**n_parties), (n_parties, 2)))
     return fids, int(np.argmax(fids))
 
 
@@ -340,14 +341,6 @@ class BruteForceResult(NamedTuple):
     max_fidelity: float
     protocol: GeneralProtocolA
     search_space: int
-
-
-def _decoded_tables(n_children: int) -> np.ndarray:
-    """All +-1 tables for a party with the given child count."""
-    n_entries = 4 << n_children
-    idx = np.arange(1 << n_entries)
-    bits = (idx[:, None] >> np.arange(n_entries)[None, :]) & 1
-    return (1 - 2 * bits).reshape(-1, 4, 1 << n_children)
 
 
 def _best_root(v: np.ndarray) -> np.ndarray:
@@ -382,7 +375,9 @@ def brute_force_bound_a(tree: CommTree) -> BruteForceResult:
         raise ValueError(f"brute force supports 2 <= N <= {BRUTE_FORCE_MAX_PARTIES}")
     tuples, weights = enumerate_a(n)
     tw = weights * task_value_batch(Task.A, tuples)
-    options = [_decoded_tables(len(tree.children(k))) for k in range(n - 1)]
+    # every +-1 table of each sender: (digit, received bits) -> bit
+    shapes = [(4, 1 << len(tree.children(k))) for k in range(n - 1)]
+    options = [_sign_tables(np.arange(1 << (r * c)), (r, c)) for r, c in shapes]
     root_dim = 4 << len(tree.children(n - 1))
     search_space = (1 << root_dim) * math.prod(len(t) for t in options)
 

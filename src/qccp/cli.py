@@ -424,10 +424,7 @@ def _reproduction_checks(seed: int) -> list[Check]:
     wrong = 0
     for n in range(1, 7):
         tuples, _ = enumerate_a(n)
-        truths = task_value_batch(Task.A, tuples)
-        wrong += sum(
-            exact_outcome_a(row) != t for row, t in zip(tuples.tolist(), truths)
-        )
+        wrong += np.count_nonzero(exact_outcome_a(tuples) != task_value_batch(Task.A, tuples))
     add("quantum-exact-A-N1..6", wrong, 0.0, "zero errors", wrong == 0)
 
     # task B quantum Monte Carlo

@@ -466,8 +466,11 @@ def simulate_experiment(params: ExperimentParams, rng: np.random.Generator) -> R
     """
     mu = params.trigger_rate * params.window
     p_single = mu * math.exp(-mu)
-    if p_single < 1e-6:
-        raise ValueError(f"P(single trigger) = {p_single:.2e}; window unusable")
+    if not p_single >= 1e-6:
+        raise ValueError(
+            f"trigger_rate {params.trigger_rate} and window {params.window} give"
+            f" P(single trigger) = {p_single:.2e}; window unusable"
+        )
     runs = _simulate(params, rng, max_windows=int(50 * params.n_target / p_single) + 1000)
     if np.count_nonzero(runs.accepted) < params.n_target:
         raise RuntimeError("window budget exhausted; acceptance rate broken?")

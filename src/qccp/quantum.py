@@ -4,12 +4,14 @@ One qubit starts in (|0> + |1>)/sqrt(2) and visits every party once.  Each
 party multiplies the |1> amplitude by a phase set by its input (i^X_k for
 task A, e^{i X_k} for task B); the last party measures in the
 (|0> +/- |1>)/sqrt(2) basis.  The protocol never entangles anything, so two
-complex amplitudes are the entire state.
+complex amplitudes per input row are the entire state: :func:`final_state`
+and :func:`measure_probabilities` are that model on (rows, N) arrays, the
+reference that the closed form :func:`plus_probability` is tested against.
 
 Task A phases are quarter turns, so that path also exists in exact integer
-form (:class:`PhaseZ4`, :func:`exact_outcome_a`): the final phase index is
-(sum X_k) mod 4 and the answer +1/-1 for index 0/2 is an integer identity,
-not a float coincidence.
+form (:func:`exact_outcome_a`): the final phase index is (sum X_k) mod 4 and
+the answer +1/-1 for index 0/2 is an integer identity, not a float
+coincidence.
 
 Imperfect interference is modelled by a visibility V scaling the coherence
 term: outcome +-1 is drawn with P(+-) = (1 +- V cos(sum phases))/2.
@@ -17,111 +19,58 @@ term: outcome +-1 is drawn with P(+-) = (1 +- V cos(sum phases))/2.
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .tasks import PromiseViolationError, Task, coherence
+from .tasks import Task, check_domain, coherence
 
 NORM_TOL = 1e-9
 
 # exact unit phases i^k; products only swap and negate components
-_QUARTER_UNITS = (1 + 0j, 1j, -1 + 0j, -1j)
+_QUARTER_UNITS = np.array([1, 1j, -1, -1j])
 
 
-@dataclass(frozen=True)
-class QubitState:
-    """Two complex amplitudes over the computational basis."""
+def final_state(task: Task, rows) -> np.ndarray:
+    """(rows, 2) amplitudes (1, prod_k u_k)/sqrt(2) after one gate per party.
 
-    amp0: complex
-    amp1: complex
-
-    def norm(self) -> float:
-        return math.sqrt(abs(self.amp0) ** 2 + abs(self.amp1) ** 2)
-
-
-@dataclass(frozen=True)
-class PhaseZ4:
-    """Exact quarter-turn phase, an integer number of i factors mod 4."""
-
-    quarter_turns: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "quarter_turns", int(self.quarter_turns) % 4)
-
-    def advanced(self, digit: int) -> "PhaseZ4":
-        return PhaseZ4(self.quarter_turns + int(digit))
-
-    def unit(self) -> complex:
-        return _QUARTER_UNITS[self.quarter_turns]
-
-    def to_sign(self) -> int:
-        """+1 for phase 1, -1 for phase -1; odd turns have no sign."""
-        if self.quarter_turns == 0:
-            return 1
-        if self.quarter_turns == 2:
-            return -1
-        raise PromiseViolationError(
-            f"phase index {self.quarter_turns} is imaginary; digit sum was odd"
-        )
-
-
-def initial_state() -> QubitState:
+    Party k's gate |0><0| + u_k |1><1| has u_k = i^X_k (exact quarter turns)
+    for task A and u_k = e^{i X_k} for task B.
+    """
+    arr = check_domain(task, rows)
+    units = _QUARTER_UNITS[arr] if task is Task.A else np.exp(1j * arr)
     amp = 1.0 / math.sqrt(2.0)
-    return QubitState(amp0=amp, amp1=amp)
+    return np.stack([np.full(len(arr), amp + 0j), amp * units.prod(axis=1)], axis=1)
 
 
-def phase_encode(state: QubitState, task: Task, value) -> QubitState:
-    """Apply one party's phase gate |0><0| + e^{i phi}|1><1| to the state."""
-    if task is Task.A:
-        digit = int(value)
-        if digit not in (0, 1, 2, 3):
-            raise ValueError(f"task A digit must lie in 0..3, got {value}")
-        return QubitState(state.amp0, state.amp1 * _QUARTER_UNITS[digit])
-    phi = float(value)
-    if not 0.0 <= phi < 2.0 * math.pi:
-        raise ValueError("task B phase must lie in [0, 2*pi)")
-    return QubitState(state.amp0, state.amp1 * cmath.exp(1j * phi))
+def measure_probabilities(states) -> np.ndarray:
+    """(rows, 2) Born probabilities of the (|0> +/- |1>)/sqrt(2) outcomes.
 
-
-def final_state(task: Task, inputs: Sequence) -> QubitState:
-    """Run the whole encoding pipeline: one gate per party, nothing else."""
-    state = initial_state()
-    for value in inputs:
-        state = phase_encode(state, task, value)
-    return state
-
-
-def measure_probabilities(state: QubitState) -> tuple[float, float]:
-    """Born probabilities of the (|0> +/- |1>)/sqrt(2) outcomes.
-
-    The pair is renormalised by its own sum (equal to the squared norm), so
+    Each pair is renormalised by its own sum (equal to the squared norm), so
     the probabilities sum to one exactly and a vanishing branch is exactly 0.
+    A row whose norm^2 is not 1 within NORM_TOL, or is NaN, is refused.
     """
-    p_plus = abs(state.amp0 + state.amp1) ** 2 / 2.0
-    p_minus = abs(state.amp0 - state.amp1) ** 2 / 2.0
-    total = p_plus + p_minus
-    if abs(total - 1.0) > NORM_TOL:
-        raise ValueError(f"state norm^2 = {total} is not 1 within {NORM_TOL}")
-    return p_plus / total, p_minus / total
+    states = np.asarray(states)
+    if states.ndim != 2 or states.shape[1] != 2:
+        raise ValueError(f"expected (rows, 2) amplitudes, got shape {states.shape}")
+    amp0, amp1 = states.T
+    probs = np.abs(np.stack([amp0 + amp1, amp0 - amp1], axis=1)) ** 2 / 2.0
+    total = probs.sum(axis=1, keepdims=True)
+    bad = ~(np.abs(total - 1.0) <= NORM_TOL)
+    if bad.any():
+        raise ValueError(f"state norm^2 = {total[bad][0]} is not 1 within {NORM_TOL}")
+    return probs / total
 
 
-def exact_outcome_a(inputs: Sequence[int]) -> int:
-    """Deterministic task A answer via integer quarter-turn accumulation.
+def exact_outcome_a(rows) -> np.ndarray:
+    """Deterministic task A answer per row from the integer quarter-turn index.
 
-    No floating point anywhere: the measurement outcome equals the sign of
-    the accumulated phase, defined whenever the promised even sum holds.
+    No floating point anywhere: the outcome is 1 - (sum X_k) mod 4, the sign
+    of the accumulated phase, exactly :func:`qccp.tasks.coherence` on task A.
+    Odd sums raise PromiseViolationError.
     """
-    phase = PhaseZ4(0)
-    for value in inputs:
-        digit = int(value)
-        if digit not in (0, 1, 2, 3):
-            raise ValueError(f"task A digit must lie in 0..3, got {value}")
-        phase = phase.advanced(digit)
-    return phase.to_sign()
+    return coherence(Task.A, rows)
 
 
 def plus_probability(task: Task, rows, visibility: float) -> np.ndarray:

@@ -42,8 +42,8 @@ class SuccessStats:
             raise ValueError("successes must lie in [0, n]")
         if abs(self.p_hat - self.successes / self.n) > 1e-12:
             raise ValueError("p_hat must equal successes/n")
-        if self.sigma < 0.0:
-            raise ValueError("sigma must be non-negative")
+        if not self.sigma >= 0.0:
+            raise ValueError(f"sigma must be non-negative, got {self.sigma}")
 
     @classmethod
     def from_counts(cls, n: int, successes: int) -> "SuccessStats":

@@ -29,6 +29,7 @@ from typing import Sequence
 import numpy as np
 
 TIE_EPS = 1e-12
+_BELOW_TWO_PI = np.nextafter(2.0 * math.pi, 0.0)
 
 
 class Task(Enum):
@@ -123,7 +124,7 @@ def compose(task: Task, x, y) -> np.ndarray:
     """Row inverse of :func:`decompose_batch`: X from (rows, N) arrays x and y.
 
     Bit-exact for task A; within 1 ulp for task B, where X_k = pi + x_k
-    when y_k = -1.
+    when y_k = -1, kept below 2 pi where that sum rounds up to it.
     """
     x = check_domain(task, x, reduced=True)
     y = np.asarray(y)
@@ -131,7 +132,7 @@ def compose(task: Task, x, y) -> np.ndarray:
         raise ValueError(f"y must be a +-1 array of shape {x.shape}")
     if task is Task.A:
         return (1 - y) + x
-    return np.where(y == 1, x, math.pi + x)
+    return np.where(y == 1, x, np.minimum(math.pi + x, _BELOW_TWO_PI))
 
 
 def reduced_value(task: Task, x: Sequence) -> int:

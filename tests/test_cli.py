@@ -369,6 +369,14 @@ def test_entry_point_requires_a_command():
         main([])
 
 
+def test_overflowing_window_names_rate_and_window(capsys):
+    # rate * window overflows to inf, so P(single trigger) = inf * 0 is NaN
+    code = main(["experiment", "--task", "A", "--trigger-rate", "1e200", "--window", "1e200"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "trigger_rate 1e+200 and window 1e+200" in err and "unusable" in err
+
+
 INTS = st.one_of(st.integers(-3, 40).map(str), st.sampled_from(["", "abc", "1.5", "1e3"]))
 FLOATS = st.one_of(
     st.floats(-0.5, 1.5, allow_nan=False).map(repr), st.sampled_from(["", "nan", "inf", "x"])

@@ -5,20 +5,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import qccp.quantum
 from qccp import (
-    PhaseZ4,
     PromiseViolationError,
-    QubitState,
     RandomStream,
     Task,
     density_b,
     enumerate_a,
     exact_outcome_a,
     final_state,
-    initial_state,
     measure_probabilities,
-    phase_encode,
+    plus_probability,
     quantum_fidelity,
     run_quantum,
     run_quantum_batch,
@@ -33,67 +29,73 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 class TestStatesAndGates:
     def test_initial_state(self):
-        state = initial_state()
-        assert state.amp0 == state.amp1 == INV_SQRT2
-        assert abs(state.norm() - 1.0) < 1e-15
+        # a zero digit leaves the initial state (|0> + |1>)/sqrt(2)
+        state = final_state(Task.A, [[0]])
+        assert state.tolist() == [[INV_SQRT2, INV_SQRT2]]
+        assert abs(np.linalg.norm(state) - 1.0) < 1e-15
 
     def test_initial_state_measures_plus(self):
-        assert measure_probabilities(initial_state()) == (1.0, 0.0)
+        assert measure_probabilities(final_state(Task.A, [[0]])).tolist() == [[1.0, 0.0]]
 
     def test_quarter_turn_two_is_exact_sign_flip(self):
-        state = phase_encode(initial_state(), Task.A, 2)
-        assert state.amp1 == -INV_SQRT2
-        assert state.amp0 == INV_SQRT2
+        state = final_state(Task.A, [[2]])
+        assert state[0, 1] == -INV_SQRT2
+        assert state[0, 0] == INV_SQRT2
 
     def test_zero_digit_is_identity(self):
-        state = phase_encode(initial_state(), Task.A, 0)
-        assert state == initial_state()
+        digits = np.arange(4)[:, None]
+        with_zero = np.hstack([digits, np.zeros_like(digits)])
+        assert np.array_equal(final_state(Task.A, with_zero), final_state(Task.A, digits))
 
     def test_pi_phase_flips_within_tolerance(self):
-        state = phase_encode(initial_state(), Task.B, math.pi)
-        assert abs(state.amp1 - (-INV_SQRT2)) < 1e-12
+        state = final_state(Task.B, [[math.pi]])
+        assert abs(state[0, 1] - (-INV_SQRT2)) < 1e-12
 
     def test_gate_domain_checks(self):
         with pytest.raises(ValueError):
-            phase_encode(initial_state(), Task.A, 4)
+            final_state(Task.A, [[4]])
         with pytest.raises(ValueError):
-            phase_encode(initial_state(), Task.B, TWO_PI)
+            final_state(Task.B, [[TWO_PI]])
 
     def test_measure_rejects_unnormalised_states(self):
-        with pytest.raises(ValueError):
-            measure_probabilities(QubitState(1.0, 1.0))
+        with pytest.raises(ValueError, match="norm"):
+            measure_probabilities([[1.0, 1.0]])
+        with pytest.raises(ValueError, match="norm"):
+            measure_probabilities([[INV_SQRT2, INV_SQRT2], [math.nan, 0.0]])
+        with pytest.raises(ValueError, match="shape"):
+            measure_probabilities([INV_SQRT2, INV_SQRT2])
 
     def test_measure_examples(self):
         # single party holding the whole phase sum
-        p_plus, p_minus = measure_probabilities(final_state(Task.B, (math.pi / 3,)))
+        p_plus, p_minus = measure_probabilities(final_state(Task.B, [[math.pi / 3]]))[0]
         assert p_plus == pytest.approx(0.75, abs=1e-12)
-        state = final_state(Task.B, (math.pi / 4, math.pi / 4))
-        assert measure_probabilities(state) == pytest.approx((0.5, 0.5), abs=1e-12)
+        state = final_state(Task.B, [[math.pi / 4, math.pi / 4]])
+        assert measure_probabilities(state)[0] == pytest.approx((0.5, 0.5), abs=1e-12)
 
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(0)
-        for _ in range(200):
-            state = final_state(Task.B, rng.uniform(0, TWO_PI, size=4))
-            p_plus, p_minus = measure_probabilities(state)
-            assert p_plus + p_minus == pytest.approx(1.0, abs=1e-12)
+        probs = measure_probabilities(final_state(Task.B, rng.uniform(0, TWO_PI, size=(200, 4))))
+        assert probs.sum(axis=1) == pytest.approx(np.ones(200), abs=1e-12)
 
 
-class TestPhaseZ4:
-    def test_wraps_mod_four(self):
-        assert PhaseZ4(7).quarter_turns == 3
-        assert PhaseZ4(-1).quarter_turns == 3
+class TestClosedForm:
+    """plus_probability, used by every sampler of answers, is the amplitude model."""
 
-    def test_advanced_accumulates(self):
-        assert PhaseZ4(3).advanced(3).quarter_turns == 2
+    def test_task_a_is_bit_equal(self):
+        for n in range(1, 7):
+            tuples, _ = enumerate_a(n)
+            probs = measure_probabilities(final_state(Task.A, tuples))
+            assert np.array_equal(plus_probability(Task.A, tuples, 1.0), probs[:, 0])
 
-    def test_units_are_exact(self):
-        assert [PhaseZ4(k).unit() for k in range(4)] == [1, 1j, -1, -1j]
-
-    def test_sign_of_even_phases(self):
-        assert PhaseZ4(0).to_sign() == 1
-        assert PhaseZ4(2).to_sign() == -1
-        with pytest.raises(PromiseViolationError):
-            PhaseZ4(1).to_sign()
+    def test_task_b_within_1e12(self):
+        rng = np.random.default_rng(5)
+        checked = 0
+        for n in range(1, 7):
+            rows = rng.uniform(0.0, TWO_PI, size=(17_000, n))
+            probs = measure_probabilities(final_state(Task.B, rows))
+            assert np.abs(plus_probability(Task.B, rows, 1.0) - probs[:, 0]).max() < 1e-12
+            checked += len(rows)
+        assert checked >= 100_000
 
 
 class TestTaskAExactness:
@@ -102,62 +104,61 @@ class TestTaskAExactness:
         for n in range(1, 7):
             tuples, _ = enumerate_a(n)
             truths = task_value_batch(Task.A, tuples)
-            for row, truth in zip(tuples.tolist(), truths):
-                assert exact_outcome_a(row) == truth
+            assert np.array_equal(exact_outcome_a(tuples), truths)
 
     def test_float_pipeline_is_still_exact(self):
         # unit-phase multiplications only swap and negate components, so the
         # measurement distribution on promised tuples is exactly (1,0)/(0,1)
         tuples, _ = enumerate_a(5)
-        for row in tuples.tolist():
-            probs = measure_probabilities(final_state(Task.A, row))
-            want = (1.0, 0.0) if task_value(Task.A, row) == 1 else (0.0, 1.0)
-            assert probs == want
+        probs = measure_probabilities(final_state(Task.A, tuples))
+        plus = task_value_batch(Task.A, tuples)[:, None] == 1
+        assert np.array_equal(probs, np.where(plus, [1.0, 0.0], [0.0, 1.0]))
 
     def test_odd_sum_rejected(self):
         with pytest.raises(PromiseViolationError):
-            exact_outcome_a((1, 0))
+            exact_outcome_a([[1, 0]])
 
     def test_digit_domain(self):
         with pytest.raises(ValueError):
-            exact_outcome_a((5,))
+            exact_outcome_a([[5]])
 
 
 class TestUnitarityAndOrder:
     def test_norm_preserved_over_a_million_compositions(self):
         rng = np.random.default_rng(1)
-        state = initial_state()
-        for phi in rng.uniform(0.0, TWO_PI, size=1_000_000):
-            state = phase_encode(state, Task.B, phi)
-        assert abs(state.norm() - 1.0) < 1e-9
+        state = final_state(Task.B, rng.uniform(0.0, TWO_PI, size=(1, 1_000_000)))
+        assert abs(np.linalg.norm(state) - 1.0) < 1e-9
 
     def test_party_order_is_irrelevant_a(self):
         rng = np.random.default_rng(2)
         tuples, _ = enumerate_a(5)
-        for row in tuples[::29].tolist():
-            base = measure_probabilities(final_state(Task.A, row))
-            perm = rng.permutation(row).tolist()
-            assert measure_probabilities(final_state(Task.A, perm)) == base
+        rows = tuples[::29]
+        base = measure_probabilities(final_state(Task.A, rows))
+        perm = measure_probabilities(final_state(Task.A, rng.permuted(rows, axis=1)))
+        assert np.array_equal(perm, base)
 
     def test_party_order_is_irrelevant_b(self):
         rng = np.random.default_rng(3)
-        for _ in range(40):
-            row = rng.uniform(0.0, TWO_PI, size=5)
-            base = measure_probabilities(final_state(Task.B, row))
-            perm = measure_probabilities(final_state(Task.B, rng.permutation(row)))
-            assert perm == pytest.approx(base, abs=1e-12)
+        rows, perms = np.empty((40, 5)), np.empty((40, 5))
+        for i in range(40):
+            rows[i] = rng.uniform(0.0, TWO_PI, size=5)
+            perms[i] = rng.permutation(rows[i])
+        base = measure_probabilities(final_state(Task.B, rows))
+        perm = measure_probabilities(final_state(Task.B, perms))
+        assert perm == pytest.approx(base, abs=1e-12)
 
-    def test_budget_one_gate_per_party_one_measurement(self, monkeypatch):
-        calls = {"encode": 0}
-        real = qccp.quantum.phase_encode
-
-        def counting(state, task, value):
-            calls["encode"] += 1
-            return real(state, task, value)
-
-        monkeypatch.setattr(qccp.quantum, "phase_encode", counting)
-        final_state(Task.A, (0, 2, 2, 0, 0))
-        assert calls["encode"] == 5
+    def test_budget_one_gate_per_party_one_measurement(self):
+        # each party's gate multiplies the |1> amplitude by its own factor u_k,
+        # read off its one-party state; nothing else acts on the qubit
+        rng = np.random.default_rng(6)
+        for task, rows, tol in (
+            (Task.A, enumerate_a(5)[0], 0.0),
+            (Task.B, rng.uniform(0.0, TWO_PI, size=(500, 5)), 1e-12),
+        ):
+            single = final_state(task, rows.reshape(-1, 1))
+            factors = (single[:, 1] / single[:, 0]).reshape(rows.shape)
+            state = final_state(task, rows)
+            assert np.abs(state[:, 1] - state[:, 0] * factors.prod(axis=1)).max() <= tol
 
 
 class TestRunQuantum:
@@ -209,32 +210,26 @@ class TestRunQuantum:
 class TestFidelityIntegral:
     """Quadrature of density * truth * (P+ - P-) reproduces pi/4 for task B."""
 
-    def _expectation(self, row) -> float:
-        p_plus, p_minus = measure_probabilities(final_state(Task.B, row))
-        return p_plus - p_minus
+    def _expectation(self, rows) -> np.ndarray:
+        probs = measure_probabilities(final_state(Task.B, rows))
+        return probs[:, 0] - probs[:, 1]
 
     @pytest.mark.parametrize("n,k", [(1, 4096), (2, 160)])
     def test_pipeline_quadrature_small_n(self, n, k):
         xs = (np.arange(k) + 0.5) * TWO_PI / k
         grid = np.stack(np.meshgrid(*([xs] * n), indexing="ij"), axis=-1).reshape(-1, n)
-        total = 0.0
-        for row, density in zip(grid, density_b(grid)):
-            c = math.cos(row.sum())
-            if abs(c) < 1e-9:
-                continue
-            truth = 1.0 if c > 0 else -1.0
-            total += density * truth * self._expectation(row)
-        total *= (TWO_PI / k) ** n
+        c = np.cos(grid.sum(axis=1))
+        keep = np.abs(c) >= 1e-9
+        truth = np.where(c[keep] > 0, 1.0, -1.0)
+        terms = density_b(grid[keep]) * truth * self._expectation(grid[keep])
+        total = terms.sum() * (TWO_PI / k) ** n
         assert total == pytest.approx(math.pi / 4.0, abs=1e-3)
 
     def test_vectorised_quadrature_n3(self):
         # pipeline expectation equals cos(sum) (spot-checked), then integrate
         rng = np.random.default_rng(4)
-        for _ in range(100):
-            row = rng.uniform(0.0, TWO_PI, size=3)
-            assert self._expectation(row) == pytest.approx(
-                math.cos(row.sum()), abs=1e-12
-            )
+        rows = rng.uniform(0.0, TWO_PI, size=(100, 3))
+        assert self._expectation(rows) == pytest.approx(np.cos(rows.sum(axis=1)), abs=1e-12)
         k = 64
         xs = (np.arange(k) + 0.5) * TWO_PI / k
         grids = np.meshgrid(xs, xs, xs, indexing="ij")

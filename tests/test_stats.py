@@ -69,6 +69,11 @@ class TestSuccessStats:
         with pytest.raises(ValueError):
             SuccessStats.from_counts(5, 6)
 
+    @pytest.mark.parametrize("sigma", [-0.1, math.nan])
+    def test_quoted_sigma_must_be_non_negative(self, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            SuccessStats(n=10, successes=5, p_hat=0.5, sigma=sigma)
+
     @given(st.integers(1, 2000), st.data())
     def test_wald_formula(self, n, data):
         successes = data.draw(st.integers(0, n))

@@ -129,6 +129,11 @@ class TestDecomposition:
             compose(Task.A, [[1, 1]], [[1, 0]])
         with pytest.raises(ValueError, match="y must be"):
             compose(Task.B, [[0.5, 0.5]], [[1]])
+        # pi + x rounds up to 2 pi here; the result stays in the domain
+        below_pi = np.nextafter(math.pi, 0.0)
+        back = compose(Task.B, [[below_pi]], [[-1]])
+        assert back[0, 0] < TWO_PI and abs(back[0, 0] - (math.pi + below_pi)) <= math.ulp(TWO_PI)
+        assert density_b(back) > 0.0
 
     def test_identity_exhaustive_a_through_n6(self):
         # task_value(X) == prod(y) * reduced_value(x) on every promised tuple
