@@ -11,11 +11,12 @@ guessing.  Forcing every message to carry its sender's y_k collapses the
 answer to the product form ``prod_k a_k(x_k) y_k`` with per-party sign
 functions a_k.  This module evaluates such product strategies exactly, and
 for small N certifies the reduction itself over ALL general message-table
-protocols, product form or not: every sender table combination is
-enumerated, and the root's table, which enters the fidelity linearly, is
-maximised in closed form.
+protocols, product form or not.  The root's table, which enters the fidelity
+linearly, is maximised in closed form; so is every table of the last sender
+at once, by one matrix product per combination of the other senders' tables,
+which alone are enumerated one by one.
 
-Message passing has one implementation, :func:`_root_state`, which runs the
+Message passing has one implementation, :func:`_input_cells`, which runs the
 senders over a batch of input rows; single runs, Monte Carlo estimates and
 the exhaustive search all go through it.
 
@@ -36,7 +37,7 @@ import numpy as np
 from .sampling import enumerate_a, enumerate_reduced_a, sample_inputs
 from .tasks import Task, check_domain, decompose_batch, task_value_batch
 
-BRUTE_FORCE_MAX_PARTIES = 3
+BRUTE_FORCE_MAX_PARTIES = 4
 
 
 @dataclass(frozen=True)
@@ -178,26 +179,22 @@ def _send_plan(tree: CommTree) -> _SendPlan:
     return tuple((k, tree.children(k)) for k in (*tree.send_order(), tree.n_parties - 1))
 
 
-def _root_state(plan: _SendPlan, tables, digits: np.ndarray) -> np.ndarray:
+def _input_cells(plan: _SendPlan, tables, digits: np.ndarray) -> dict[int, np.ndarray]:
     """Message passing over the rows of a (rows, N) task A digit array.
 
     ``plan`` is the tree's :func:`_send_plan`: the senders speak in
-    :meth:`CommTree.send_order`, each looking its bit up in ``tables[k]`` at
-    (digit, received).  Returns each row's root state
-    ``digit * 2^c + received``, the flat index into the root's (4, 2^c) table.
+    :meth:`CommTree.send_order`, the root last.  Each party reads its cell
+    ``digit * 2^c + received``, the flat index into its (4, 2^c) table, and a
+    sender sends the bit ``tables[k]`` holds there.  Returns every party's
+    cell per row; the root's is its root state.
     """
-    messages: dict[int, np.ndarray] = {}
-
-    def received(children: tuple[int, ...]):
-        recv = 0
+    cells: dict[int, np.ndarray] = {}
+    for k, children in plan:
+        cell = digits[:, k] << len(children)
         for j, child in enumerate(children):
-            recv = recv + (((1 - messages[child]) // 2) << j)
-        return recv
-
-    *senders, (root, children) = plan
-    for k, kids in senders:
-        messages[k] = tables[k][digits[:, k], received(kids)]
-    return (digits[:, root] << len(children)) + received(children)
+            cell = cell + (((1 - tables[child].ravel()[cells[child]]) // 2) << j)
+        cells[k] = cell
+    return cells
 
 
 def _answers(protocol: Strategy, tree: CommTree, inputs: np.ndarray) -> np.ndarray:
@@ -208,8 +205,8 @@ def _answers(protocol: Strategy, tree: CommTree, inputs: np.ndarray) -> np.ndarr
     prod(y) * prod(a_k(x_k)).
     """
     if isinstance(protocol, GeneralProtocolA):
-        state = _root_state(_send_plan(tree), protocol.tables, inputs)
-        return protocol.tables[-1].ravel()[state]
+        cells = _input_cells(_send_plan(tree), protocol.tables, inputs)
+        return protocol.tables[-1].ravel()[cells[tree.n_parties - 1]]
     x, y = decompose_batch(_task_of(protocol), inputs)
     if isinstance(protocol, ProductStrategyB):
         x = protocol.cell_index(x)
@@ -356,42 +353,90 @@ def _best_root(v: np.ndarray) -> np.ndarray:
     return np.where(v * lead < 0, -1, 1)
 
 
+def _sender_tables(tree: CommTree) -> list[np.ndarray]:
+    """Every +-1 table of each sender, (digit, received bits) -> bit, by index."""
+    shapes = [(4, 1 << len(tree.children(k))) for k in range(tree.n_parties - 1)]
+    return [_sign_tables(np.arange(1 << (r * c)), (r, c)) for r, c in shapes]
+
+
+def _last_sender_fidelities(tree: CommTree, digits: np.ndarray, tw: np.ndarray):
+    """Scorer of every table of the last sender at once, the others held fixed.
+
+    The last sender in :meth:`CommTree.send_order` is a child of the root, so
+    its bit reaches the root state alone.  With the other senders' tables
+    fixed, one pass adds the weighted target ``tw`` of the ``digits`` rows into
+    A[cell, s]: cell is the last sender's (digit, received) cell, s the root
+    state with that sender's bit clear.  A table t sends +1 from the cells
+    where t = +1, so the root's weights are P = [t = +1] @ A on those states
+    and colsum(A) - P on their twins with the bit set, and t scores
+    sum|P| + sum|colsum(A) - P| with the root maximised in closed form.
+    The returned ``score(tables)`` gives that fidelity for each of the last
+    sender's tables, by index; the last sender's entry of ``tables`` is
+    ignored.
+    """
+    plan = _send_plan(tree)
+    root = tree.n_parties - 1
+    last = tree.send_order()[-1]
+    bit = tree.children(root).index(last)
+    options = _sender_tables(tree)[last]
+    n_cells, root_dim = options[0].size, 4 << len(tree.children(root))
+    plus = (options.reshape(len(options), n_cells) > 0).astype(np.float64)
+    clear = np.flatnonzero(((np.arange(root_dim) >> bit) & 1) == 0)
+
+    def score(tables) -> np.ndarray:
+        cells = _input_cells(plan, tables, digits)
+        flat = cells[last] * root_dim + (cells[root] & ~(1 << bit))
+        a = np.bincount(flat, weights=tw, minlength=n_cells * root_dim)
+        a = a.reshape(n_cells, root_dim)[:, clear]
+        p = plus @ a
+        return np.abs(p).sum(axis=1) + np.abs(a.sum(axis=0) - p).sum(axis=1)
+
+    return score
+
+
 def brute_force_bound_a(tree: CommTree) -> BruteForceResult:
     """Certified task A maximum over ALL general one-bit protocols on a tree.
 
-    Every sender table combination is enumerated explicitly.  The root's table
-    r enters the fidelity linearly: with v_s the weighted sum of the target
-    over the input rows that reach root state s, it scores |sum_s r_s v_s|,
-    whose maximum over all 2^(4*2^c) root tables is exactly sum_s |v_s|,
-    reached by r = +-sign(v).  The root table is therefore maximised in
-    closed form rather than enumerated; ``search_space`` still counts every
-    protocol the search covers.  The arithmetic is exact in dyadic values,
-    which certifies both the bound and the product-form reduction at these
-    sizes.  Ties go to the lowest protocol index: sender tables high to low,
-    then the root table as a mask with bit s set where r_s = -1.
+    The root's table r enters the fidelity linearly: with v_s the weighted
+    sum of the target over the input rows that reach root state s, it scores
+    |sum_s r_s v_s|, whose maximum over all 2^(4*2^c) root tables is exactly
+    sum_s |v_s|, reached by r = +-sign(v).  The root table is therefore
+    maximised in closed form, and the last sender's tables are all scored at
+    once by one matrix product (:func:`_last_sender_fidelities`); only the
+    other senders' table combinations are enumerated one by one.
+    ``search_space`` still counts every protocol the search covers.  The
+    arithmetic is exact in dyadic values, which certifies both the bound and
+    the product-form reduction at these sizes.  Ties go to the lowest
+    protocol index: the sender tables' indices compared in party order, then
+    the root table as a mask with bit s set where r_s = -1.
     """
     n = tree.n_parties
     if not 2 <= n <= BRUTE_FORCE_MAX_PARTIES:
         raise ValueError(f"brute force supports 2 <= N <= {BRUTE_FORCE_MAX_PARTIES}")
     tuples, weights = enumerate_a(n)
     tw = weights * task_value_batch(Task.A, tuples)
-    # every +-1 table of each sender: (digit, received bits) -> bit
-    shapes = [(4, 1 << len(tree.children(k))) for k in range(n - 1)]
-    options = [_sign_tables(np.arange(1 << (r * c)), (r, c)) for r, c in shapes]
+    options = _sender_tables(tree)
     root_dim = 4 << len(tree.children(n - 1))
     search_space = (1 << root_dim) * math.prod(len(t) for t in options)
 
-    plan = _send_plan(tree)
-    best_fid, best_senders, best_v = -1.0, (), np.zeros(root_dim)
-    for senders in itertools.product(*options):
-        state = _root_state(plan, senders, tuples)
-        v = np.bincount(state, weights=tw, minlength=root_dim)
-        fid = float(np.abs(v).sum())
-        if fid > best_fid:
-            best_fid, best_senders, best_v = fid, senders, v
+    score = _last_sender_fidelities(tree, tuples, tw)
+    last = tree.send_order()[-1]
+    outer = [range(len(t)) for t in options]
+    outer[last] = range(1)
+    best_fid, best_key = -1.0, ()
+    for key in itertools.product(*outer):
+        fids = score([options[k][i] for k, i in enumerate(key)])
+        # the lowest maximiser in this batch; a later batch can still hold a
+        # lower index tuple when the last sender is not party N-2
+        i = int(np.argmax(fids))
+        key = (*key[:last], i, *key[last + 1 :])
+        if fids[i] > best_fid or (fids[i] == best_fid and key < best_key):
+            best_fid, best_key = float(fids[i]), key
 
-    root = _best_root(best_v).reshape(4, -1)
-    protocol = GeneralProtocolA(tree=tree, tables=(*best_senders, root))
+    senders = tuple(options[k][i] for k, i in enumerate(best_key))
+    state = _input_cells(_send_plan(tree), senders, tuples)[n - 1]
+    root = _best_root(np.bincount(state, weights=tw, minlength=root_dim)).reshape(4, -1)
+    protocol = GeneralProtocolA(tree=tree, tables=(*senders, root))
     return BruteForceResult(best_fid, protocol, search_space)
 
 

@@ -26,6 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .classical import (
+    BRUTE_FORCE_MAX_PARTIES,
     CommTree,
     brute_force_bound_a,
     classical_bound,
@@ -511,7 +512,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("certify", help="brute-force the task A bound over all protocols")
-    p.add_argument("--parties", type=int, choices=[2, 3], default=3)
+    p.add_argument(
+        "--parties", type=int, choices=range(2, BRUTE_FORCE_MAX_PARTIES + 1), default=3
+    )
     p.add_argument("--tree", choices=["chain", "star"], default="chain")
     common(p)
     p.set_defaults(func=cmd_certify)

@@ -39,7 +39,10 @@ def optimize_window(trigger_rate: float) -> WindowChoice:
     """Window maximising P(exactly one Poisson trigger): 1/rate, prob e^-1."""
     if not 0.0 < trigger_rate < math.inf:
         raise ValueError(f"trigger_rate must be positive and finite, got {trigger_rate}")
-    return WindowChoice(1.0 / trigger_rate, math.exp(-1.0))
+    window = 1.0 / trigger_rate
+    if window == math.inf:
+        raise ValueError(f"trigger_rate {trigger_rate} is too small: its window 1/rate overflows")
+    return WindowChoice(window, math.exp(-1.0))
 
 
 def gamma_from_visibility(task: Task, visibility: float) -> float:

@@ -113,3 +113,57 @@ def binned_abs_cos_density(edges: np.ndarray, k_per_bin: int = 4000) -> np.ndarr
     for lo, hi in zip(edges[:-1], edges[1:]):
         probs.append(quadrature_1d(lambda x: np.abs(np.cos(x)) / 4.0, lo, hi, k_per_bin))
     return np.asarray(probs)
+
+
+def root_weights_a(tables, parents, digits: np.ndarray) -> np.ndarray:
+    """Weighted target per root state of a general task A protocol.
+
+    Each party's cell ``digit * 2^c + received`` (received packed as in
+    :func:`run_tables`) is computed recursively over all rows of ``digits``,
+    a (rows, N) array of every even-sum tuple.  Returns v with v_s the
+    uniform-weight sum of the target over the rows reaching root state s,
+    so the best root table scores sum_s |v_s|.
+    """
+    n = digits.shape[1]
+
+    def cell(k: int) -> np.ndarray:
+        children = [c for c in range(n - 1) if parents[c] == k]
+        out = digits[:, k] * 2 ** len(children)
+        for j, c in enumerate(children):
+            out = out + (np.asarray(tables[c]).ravel()[cell(c)] == -1) * 2**j
+        return out
+
+    truth = 1 - digits.sum(axis=1) % 4
+    size = 4 * 2 ** sum(1 for p in parents if p == n - 1)
+    return np.bincount(cell(n - 1), weights=truth / len(digits), minlength=size)
+
+
+def sign_table(index: int, shape: tuple[int, int]) -> np.ndarray:
+    """The +-1 table whose entry e, in C order, is -1 where bit e of index is set."""
+    bits = (index >> np.arange(shape[0] * shape[1])) & 1
+    return (1 - 2 * bits).reshape(shape)
+
+
+def brute_force_by_combination_a(parents) -> tuple[float, list[np.ndarray], int]:
+    """Reference general-protocol search: one ``bincount`` per table combination.
+
+    Enumerates every combination of sender tables, party 0's index most
+    significant, and keeps the first with the largest sum_s |v_s|.  The root
+    table is the lowest mask (bit s set where r_s = -1) among all 2^(4*2^c)
+    root tables scoring that maximum.  Returns (max fidelity, argmax tables,
+    number of protocols covered).
+    """
+    n = len(parents) + 1
+    digits = np.array(even_sum_tuples(n))
+    shapes = [(4, 2 ** sum(1 for p in parents if p == k)) for k in range(n)]
+    counts = [2 ** (r * c) for r, c in shapes]
+    best_fid, best_tables = -1.0, None
+    for combo in itertools.product(*(range(c) for c in counts[:-1])):
+        tables = [sign_table(i, shape) for i, shape in zip(combo, shapes)]
+        fid = float(np.abs(root_weights_a(tables, parents, digits)).sum())
+        if fid > best_fid:
+            best_fid, best_tables = fid, tables
+    v = root_weights_a(best_tables, parents, digits)
+    masks = (np.arange(counts[-1])[:, None] >> np.arange(v.size)[None, :]) & 1
+    root = 1 - 2 * masks[np.argmax(np.abs((1 - 2 * masks) @ v))]
+    return best_fid, [*best_tables, root.reshape(shapes[-1])], math.prod(counts)

@@ -28,12 +28,15 @@ from qccp import (
     task_value,
 )
 
-from qccp.classical import _answers, _best_root
+from qccp.classical import _answers, _best_root, _last_sender_fidelities
 from oracles import (
+    brute_force_by_combination_a,
     even_sum_tuples,
     fidelity_by_enumeration_a,
     fidelity_by_quadrature_b,
+    root_weights_a,
     run_tables,
+    sign_table,
 )
 
 TWO_OVER_PI = 2.0 / math.pi
@@ -249,6 +252,12 @@ class TestClassicalBound:
         assert classical_bound(Task.A, 6).fidelity == 0.25
 
 
+CERTIFIED_TREES = {
+    f"{shape}-{n}": getattr(CommTree, shape)(n)
+    for shape, n in (("chain", 2), ("chain", 3), ("star", 3), ("chain", 4), ("star", 4))
+}
+
+
 class TestBruteForce:
     def test_n2_chain(self):
         result = brute_force_bound_a(CommTree.chain(2))
@@ -267,13 +276,14 @@ class TestBruteForce:
 
     def test_reduction_validity(self):
         # general-protocol max == product-strategy max == closed form
-        for n, tree in ((2, CommTree.chain(2)), (3, CommTree.chain(3)), (3, CommTree.star(3))):
+        for tree in CERTIFIED_TREES.values():
+            n = tree.n_parties
             general = brute_force_bound_a(tree).max_fidelity
             fids, best = exhaust_product_strategies_a(n)
             assert general == fids[best] == classical_bound(Task.A, n).fidelity
 
     def test_argmax_protocol_achieves_reported_fidelity(self):
-        for tree in (CommTree.chain(2), CommTree.chain(3), CommTree.star(3)):
+        for tree in CERTIFIED_TREES.values():
             result = brute_force_bound_a(tree)
             oracle = fidelity_by_enumeration_a(
                 lambda combo: run_tables(result.protocol.tables, tree.parents, combo),
@@ -320,7 +330,7 @@ class TestBruteForce:
 
     def test_rejects_unsupported_sizes(self):
         with pytest.raises(ValueError):
-            brute_force_bound_a(CommTree.chain(4))
+            brute_force_bound_a(CommTree.chain(5))
         with pytest.raises(ValueError):
             brute_force_bound_a(CommTree.chain(1))
 
@@ -328,6 +338,37 @@ class TestBruteForce:
         a = brute_force_bound_a(CommTree.chain(3))
         b = brute_force_bound_a(CommTree.chain(3))
         assert all(np.array_equal(x, y) for x, y in zip(a.protocol.tables, b.protocol.tables))
+
+    # the chain (2, 0) is labelled so that its last sender, party 0, is not
+    # the fastest-varying table index: ties then span outer combinations
+    @pytest.mark.parametrize(
+        "tree",
+        [CommTree.chain(2), CommTree.chain(3), CommTree.star(3), CommTree(3, (2, 0))],
+        ids=["chain-2", "chain-3", "star-3", "chain-3-relabelled"],
+    )
+    def test_matches_per_combination_oracle(self, tree):
+        result = brute_force_bound_a(tree)
+        fid, tables, space = brute_force_by_combination_a(tree.parents)
+        assert result.max_fidelity == fid
+        assert [t.tolist() for t in result.protocol.tables] == [t.tolist() for t in tables]
+        assert result.search_space == space
+
+    @pytest.mark.parametrize("name", ["chain-3", "star-3", "chain-4", "star-4"])
+    def test_last_sender_scores_are_one_bincount_per_table(self, name):
+        tree = CERTIFIED_TREES[name]
+        tuples, weights = enumerate_a(tree.n_parties)
+        tw = weights * (1 - tuples.sum(axis=1) % 4)
+        score = _last_sender_fidelities(tree, tuples, tw)
+        last = tree.send_order()[-1]
+        shapes = [(4, 2 ** len(tree.children(k))) for k in range(tree.n_parties - 1)]
+        rng = np.random.default_rng(8)
+        for _ in range(3):
+            tables = [1 - 2 * rng.integers(0, 2, size=shape) for shape in shapes]
+            want = []
+            for index in range(2 ** (4 * shapes[last][1])):
+                tables[last] = sign_table(index, shapes[last])
+                want.append(np.abs(root_weights_a(tables, tree.parents, tuples)).sum())
+            assert score(tables).tolist() == want
 
 
 class TestGeneralProtocolType:

@@ -86,6 +86,43 @@ class TestCertify:
         assert payload["max_fidelity"] == 0.5
         assert payload["search_space"] == 2**24
 
+    @pytest.mark.parametrize("tree", ["chain", "star"])
+    def test_four_parties(self, capsys, tree):
+        code, out = run_cli(capsys, "certify", "--parties", "4", "--tree", tree)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["max_fidelity"] == payload["closed_form"] == 0.5
+        assert payload["matches_closed_form"] is True
+
+    # sha256 of the certify report, recorded from the search that ran one
+    # bincount pass per sender-table combination: a change to the maximum,
+    # the argmax tables or the format shows here
+    GOLDEN_SHA256 = {
+        ("2", "chain", "structured-record"):
+            "d8bbf900f996993d0158e4e3f699e1b57df4a17dd6709ce4845baa293ab9417f",
+        ("2", "chain", "delimited-table"):
+            "5019bab4f4c0f92eb923992075ba243b5cd64327c64c8c8a70cdf9aa4bbbfcd3",
+        ("3", "chain", "structured-record"):
+            "f027afc1dbfd28a85d964ccc43b492feaeb71c0cec3421b0848535b2a8c5b09e",
+        ("3", "chain", "delimited-table"):
+            "80c3f048e1646f6e8eae098b3eb86465ff1287eb0f334e46e4918d70e4906495",
+        ("3", "star", "structured-record"):
+            "4cda65810114faf1472e364afb3ed92c51e2f5a50ed13b1b53a8266147da8037",
+        ("3", "star", "delimited-table"):
+            "72deb39ff145814fc01d35035e8342f4da42a7a0dea0dbd5f4248c4e6a49b717",
+    }
+
+    @pytest.mark.parametrize("parties, tree, fmt", sorted(GOLDEN_SHA256))
+    def test_golden_digests(self, capsys, tmp_path, parties, tree, fmt):
+        out = tmp_path / "certify.out"
+        code, _ = run_cli(
+            capsys, "certify", "--parties", parties, "--tree", tree,
+            "--format", fmt, "--out", str(out),
+        )
+        assert code == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == self.GOLDEN_SHA256[parties, tree, fmt]
+
 
 class TestOptimize:
     def test_small_search(self, capsys, tmp_path):
@@ -375,6 +412,14 @@ def test_overflowing_window_names_rate_and_window(capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "trigger_rate 1e+200 and window 1e+200" in err and "unusable" in err
+
+
+def test_subnormal_rate_names_the_trigger_rate(capsys):
+    # with no --window the window is 1/rate, which overflows to inf here
+    code = main(["experiment", "--task", "A", "--trigger-rate", "1e-320"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "trigger_rate 1e-320" in err and "window must be" not in err
 
 
 INTS = st.one_of(st.integers(-3, 40).map(str), st.sampled_from(["", "abc", "1.5", "1e3"]))

@@ -113,7 +113,8 @@ class TestOptimizeWindow:
         assert p_one.max() <= math.exp(-1.0) + 1e-12
 
     def test_rejects_nonpositive_rate(self):
-        for rate in (0.0, math.nan, math.inf):
+        # 1/1e-320 overflows to an infinite window
+        for rate in (0.0, math.nan, math.inf, 1e-320):
             with pytest.raises(ValueError, match="trigger_rate"):
                 optimize_window(rate)
 
