@@ -38,6 +38,7 @@ from .sampling import enumerate_a, enumerate_reduced_a, sample_inputs
 from .tasks import Task, check_domain, decompose_batch, task_value_batch
 
 BRUTE_FORCE_MAX_PARTIES = 4
+MIN_GRID_CELLS = 8  # fewest phase cells per party that coordinate ascent takes
 
 
 @dataclass(frozen=True)
@@ -465,8 +466,8 @@ def coordinate_ascent_b(init: ProductStrategyB, max_sweeps: int = 500) -> Ascent
     previous sign (avoids limit cycles).  The per-sweep fidelity trace is
     monotone non-decreasing; iteration stops at the first unchanged sweep.
     """
-    if init.cells < 8:
-        raise ValueError("need at least 8 cells")
+    if init.cells < MIN_GRID_CELLS:
+        raise ValueError(f"need at least {MIN_GRID_CELLS} cells")
     n = init.n_parties
     cell_int = _cell_integrals(init.cells)
     signs = init.signs.astype(np.float64).copy()

@@ -19,7 +19,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -27,6 +27,7 @@ import numpy as np
 
 from .classical import (
     BRUTE_FORCE_MAX_PARTIES,
+    MIN_GRID_CELLS,
     CommTree,
     brute_force_bound_a,
     classical_bound,
@@ -36,6 +37,7 @@ from .classical import (
 from .experiment import (
     PRESETS,
     ExperimentParams,
+    Run,
     Runs,
     optimize_window,
     predicted_success,
@@ -43,9 +45,9 @@ from .experiment import (
     stream_runs,
     visibility_from_gamma,
 )
-from .quantum import exact_outcome_a, quantum_fidelity, run_quantum_batch
+from .quantum import final_state, measure_probabilities, quantum_fidelity, run_quantum_batch
 from .sampling import RandomStream, enumerate_a, sample_b
-from .stats import block_histogram, sigma_violation, success_stats
+from .stats import DEFAULT_BLOCK_SIZE, block_histogram, sigma_violation, success_stats
 from .tasks import Task, task_value_batch
 
 DEFAULT_SEED = 7
@@ -136,11 +138,20 @@ def _config_flags(
     return flags
 
 
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
-    return value
+def _int_from(minimum: int, what: str, name: str):
+    """An argparse type for integers >= minimum, named ``name`` in argparse's message for non-integers."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+        return value
+    parse.__name__ = name
+    return parse
+
+
+positive_int = _int_from(1, "a positive integer", "positive_int")
+non_negative_int = _int_from(0, "a non-negative integer", "non_negative_int")
+grid_cells = _int_from(MIN_GRID_CELLS, f"at least {MIN_GRID_CELLS}", "grid_cells")
 
 
 def positive_float(text: str) -> float:
@@ -152,14 +163,14 @@ def positive_float(text: str) -> float:
 
 def _seed_of(args: argparse.Namespace) -> int:
     if getattr(args, "seed", None) is not None:
-        return int(args.seed)
+        return args.seed
     env = os.environ.get(SEED_ENV_VAR)
     if not env:
         return DEFAULT_SEED
     try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"{SEED_ENV_VAR}={env!r} is not an integer") from None
+        return non_negative_int(env)
+    except (ValueError, argparse.ArgumentTypeError):
+        raise ValueError(f"{SEED_ENV_VAR}={env!r} is not a non-negative integer") from None
 
 
 # --- bounds -----------------------------------------------------------------
@@ -258,27 +269,15 @@ def _experiment_params(args: argparse.Namespace) -> ExperimentParams:
     if args.task is None:
         raise ValueError("--task is required (A or B), as a flag or in --config")
     task = Task(args.task)
-    preset = PRESETS[task.value]
-    parties = args.parties if args.parties is not None else preset.n_parties
-    trigger_rate = args.trigger_rate if args.trigger_rate is not None else preset.trigger_rate
-    window = args.window if args.window is not None else optimize_window(trigger_rate).window
-    eta = args.eta if args.eta is not None else preset.eta
-    n_target = args.n_target if args.n_target is not None else preset.n_target
-    if args.visibility is not None:
-        visibility = args.visibility
-    elif args.gamma is not None:
-        visibility = visibility_from_gamma(task, args.gamma)
-    else:
-        visibility = preset.visibility
-    return ExperimentParams(
-        task=task,
-        n_parties=parties,
-        trigger_rate=trigger_rate,
-        window=window,
-        eta=eta,
-        visibility=visibility,
-        n_target=n_target,
-    )
+    given = {
+        "n_parties": args.parties, "trigger_rate": args.trigger_rate, "window": args.window,
+        "eta": args.eta, "visibility": args.visibility, "n_target": args.n_target,
+    }
+    if args.trigger_rate is not None and args.window is None:
+        given["window"] = optimize_window(args.trigger_rate).window
+    if args.gamma is not None:
+        given["visibility"] = visibility_from_gamma(task, args.gamma)
+    return replace(PRESETS[task.value], **{k: v for k, v in given.items() if v is not None})
 
 
 def write_records_tsv(path: Path, chunks, seed: int) -> None:
@@ -288,19 +287,14 @@ def write_records_tsv(path: Path, chunks, seed: int) -> None:
     is never held in memory as one string.
     """
     n = chunks[0][1].inputs.shape[1]
-    header = [
-        "window", "seed", "stream", "trigger_count", "accepted",
-        "detected", "guessed", "answer", "truth",
-    ] + [f"input_{k+1}" for k in range(n)]
+    names = Run._fields[1:]  # the inputs come last, one column per party
+    header = ["window", "seed", "stream", *names] + [f"input_{k+1}" for k in range(n)]
     first = 0
     with open(path, "w") as fh:
         fh.write(f"# schema: {RECORDS_SCHEMA}\n" + "\t".join(header) + "\n")
         for stream_id, runs in chunks:
-            columns = [
-                runs.trigger_count,
-                *(flag.astype(np.int64) for flag in (runs.accepted, runs.detected, runs.guessed)),
-                runs.answer, runs.truth, *runs.inputs.T,
-            ]
+            columns = [getattr(runs, name).astype(np.int64, copy=False) for name in names]
+            columns += list(runs.inputs.T)
             # "{}" formats a Python int or float exactly as str() does
             row = "\t".join(["{}", str(seed), str(stream_id)] + ["{}"] * len(columns)) + "\n"
             for start in range(0, len(runs), RECORDS_BLOCK_ROWS):
@@ -421,11 +415,13 @@ def _reproduction_checks(seed: int) -> list[Check]:
         )
         add(f"ascent-B-N{n}", result.fidelity, target, "within 1.5%, monotone", ok)
 
-    # task A quantum pipeline is exact for every promised tuple
+    # task A quantum pipeline measures the target with certainty on every promised tuple
     wrong = 0
     for n in range(1, 7):
         tuples, _ = enumerate_a(n)
-        wrong += np.count_nonzero(exact_outcome_a(tuples) != task_value_batch(Task.A, tuples))
+        one_hot = (1 + task_value_batch(Task.A, tuples)[:, None] * [1, -1]) / 2  # P(+), P(-)
+        probs = measure_probabilities(final_state(Task.A, tuples))
+        wrong += np.count_nonzero((probs != one_hot).any(axis=1))
     add("quantum-exact-A-N1..6", wrong, 0.0, "zero errors", wrong == 0)
 
     # task B quantum Monte Carlo
@@ -521,9 +517,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="coordinate-ascent search for task B strategies")
     p.add_argument("--parties", type=positive_int, default=5)
-    p.add_argument("--grid", type=positive_int, default=64, help="cells per party on [0, pi)")
+    p.add_argument("--grid", type=grid_cells, default=64, help="cells per party on [0, pi)")
     p.add_argument("--restarts", type=positive_int, default=20)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=non_negative_int, default=None)
     p.add_argument("--trace-out", dest="trace_out", default=None)
     common(p)
     p.set_defaults(func=cmd_optimize)
@@ -531,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="simulate the heralded-photon experiment")
     p.add_argument("--task", choices=["A", "B"], default=None)
     p.add_argument("--parties", type=positive_int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=non_negative_int, default=None)
     p.add_argument("--streams", type=positive_int, default=1)
     p.add_argument("--n-target", dest="n_target", type=positive_int, default=None)
     p.add_argument("--eta", type=float, default=None)
@@ -540,12 +536,12 @@ def build_parser() -> argparse.ArgumentParser:
     contrast.add_argument("--visibility", type=float, default=None)
     p.add_argument("--trigger-rate", dest="trigger_rate", type=positive_float, default=None)
     p.add_argument("--window", type=positive_float, default=None)
-    p.add_argument("--block-size", dest="block_size", type=positive_int, default=500)
+    p.add_argument("--block-size", dest="block_size", type=positive_int, default=DEFAULT_BLOCK_SIZE)
     common(p)
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("reproduce", help="run every headline check and report pass/fail")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=non_negative_int, default=None)
     common(p)
     p.set_defaults(func=cmd_reproduce)
     return parser
@@ -563,6 +559,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # the commands read nothing once parsed, so this is an output file
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
 
 

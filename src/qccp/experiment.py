@@ -98,39 +98,20 @@ class ExperimentParams:
     def gamma(self) -> float:
         return gamma_from_visibility(self.task, self.visibility)
 
-    @classmethod
-    def from_gamma(
-        cls,
-        task: Task,
-        n_parties: int,
-        eta: float,
-        gamma: float,
-        n_target: int,
-        trigger_rate: float = 5000.0,
-        window: float | None = None,
-    ) -> "ExperimentParams":
-        if window is None:
-            window = optimize_window(trigger_rate).window
-        return cls(
-            task=task,
-            n_parties=n_parties,
-            trigger_rate=trigger_rate,
-            window=window,
-            eta=eta,
-            visibility=visibility_from_gamma(task, gamma),
-            n_target=n_target,
-        )
 
-
-# published N=5 parameter sets: (eta, gamma, accepted-run count)
+# published N=5 parameter sets (eta, gamma, accepted-run count), at 5000
+# triggers per second and the window that rate optimises
 PRESETS: dict[str, ExperimentParams] = {
-    "A": ExperimentParams.from_gamma(Task.A, 5, eta=0.452, gamma=0.966, n_target=6692),
-    "B": ExperimentParams.from_gamma(Task.B, 5, eta=0.471, gamma=0.858, n_target=18169),
+    task.value: ExperimentParams(
+        task, 5, 5000.0, optimize_window(5000.0).window,
+        eta=eta, visibility=visibility_from_gamma(task, gamma), n_target=n_target,
+    )
+    for task, eta, gamma, n_target in ((Task.A, 0.452, 0.966, 6692), (Task.B, 0.471, 0.858, 18169))
 }
 
 
 class Run(NamedTuple):
-    """One window of a :class:`Runs` log, as plain Python values."""
+    """One window of a :class:`Runs` log as plain Python values; its fields give the column order."""
 
     inputs: tuple
     trigger_count: int
@@ -143,9 +124,7 @@ class Run(NamedTuple):
 
 _COLUMN_TYPES = (
     ("trigger_count", np.int64),
-    ("accepted", bool),
     ("detected", bool),
-    ("guessed", bool),
     ("answer", np.int64),
     ("truth", np.int64),
 )
@@ -156,16 +135,15 @@ class Runs:
     """Window log in columns: one entry per collection window, in order.
 
     ``inputs`` has shape (windows, N), task A digits as int64 and task B
-    phases as float64.  Unaccepted windows still carry a coin-flip answer;
-    statistics use the accepted subset only, see
+    phases as float64.  A window is accepted when it has exactly one trigger,
+    and guesses when it is not detected.  Unaccepted windows still carry a
+    coin-flip answer; statistics use the accepted subset only, see
     :func:`qccp.stats.success_stats`.  Iterating yields :class:`Run` rows.
     """
 
     inputs: np.ndarray
     trigger_count: np.ndarray
-    accepted: np.ndarray
     detected: np.ndarray
-    guessed: np.ndarray
     answer: np.ndarray
     truth: np.ndarray
 
@@ -179,12 +157,8 @@ class Runs:
             if column.shape != (len(inputs),):
                 raise ValueError(f"{name} needs one entry per window")
             object.__setattr__(self, name, column)
-        if np.any(self.accepted != (self.trigger_count == 1)):
-            raise ValueError("a window is accepted exactly when it has one trigger")
         if np.any(self.detected & ~self.accepted):
             raise ValueError("only accepted windows can be detected")
-        if np.any(self.guessed == self.detected):
-            raise ValueError("a window guesses exactly when it is not detected")
         if np.any(np.abs(self.answer) != 1) or np.any(np.abs(self.truth) != 1):
             raise ValueError("answer and truth must be +-1 signs")
 
@@ -194,6 +168,14 @@ class Runs:
         return cls(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(cls)))
 
     @property
+    def accepted(self) -> np.ndarray:
+        return self.trigger_count == 1
+
+    @property
+    def guessed(self) -> np.ndarray:
+        return ~self.detected
+
+    @property
     def correct(self) -> np.ndarray:
         return self.answer == self.truth
 
@@ -201,7 +183,7 @@ class Runs:
         return len(self.trigger_count)
 
     def __iter__(self) -> Iterator[Run]:
-        columns = [getattr(self, f.name).tolist() for f in fields(self)]
+        columns = [getattr(self, name).tolist() for name in Run._fields]
         columns[0] = map(tuple, columns[0])
         return map(Run._make, zip(*columns))
 
@@ -400,12 +382,11 @@ def _simulate(params: ExperimentParams, rng: np.random.Generator, max_windows: i
     else:
         inputs = table[:windows, 3:].copy()
     truth = task_value_batch(params.task, inputs)
-    accepted = counts == 1
-    detected = accepted & (u_det < params.eta)
+    detected = (counts == 1) & (u_det < params.eta)
     p_plus = np.full(windows, 0.5)
     p_plus[detected] = plus_probability(params.task, inputs[detected], params.visibility)
     answer = np.where(u_ans < p_plus, 1, -1)
-    return Runs(inputs, counts, accepted, detected, ~detected, answer, truth)
+    return Runs(inputs, counts, detected, answer, truth)
 
 
 def _digits(bits: np.random.BitGenerator, n: int, windows: int, words: np.ndarray) -> np.ndarray:

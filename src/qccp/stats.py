@@ -27,12 +27,11 @@ class SuccessStats:
 
     :meth:`from_counts` fills sigma with the Wald value sqrt(p(1-p)/n);
     direct construction accepts an externally quoted sigma (e.g. a published
-    rounded uncertainty) but still ties p_hat to the counts.
+    rounded uncertainty).  p_hat is always successes/n.
     """
 
     n: int
     successes: int
-    p_hat: float
     sigma: float
 
     def __post_init__(self):
@@ -40,29 +39,26 @@ class SuccessStats:
             raise ValueError("need at least one run")
         if not 0 <= self.successes <= self.n:
             raise ValueError("successes must lie in [0, n]")
-        if abs(self.p_hat - self.successes / self.n) > 1e-12:
-            raise ValueError("p_hat must equal successes/n")
         if not self.sigma >= 0.0:
             raise ValueError(f"sigma must be non-negative, got {self.sigma}")
 
+    @property
+    def p_hat(self) -> float:
+        return self.successes / self.n
+
     @classmethod
     def from_counts(cls, n: int, successes: int) -> "SuccessStats":
-        if n < 1:
-            raise ValueError("need at least one run")
-        if not 0 <= successes <= n:
-            raise ValueError("successes must lie in [0, n]")
-        p = successes / n
-        return cls(n=n, successes=successes, p_hat=p, sigma=math.sqrt(p * (1.0 - p) / n))
+        p = cls(n, successes, sigma=0.0).p_hat  # checks the counts before dividing by n
+        return cls(n, successes, sigma=math.sqrt(p * (1.0 - p) / n))
 
 
 def success_stats(runs: Runs) -> SuccessStats:
     """Success statistics over the accepted windows of a window log."""
-    n = int(np.count_nonzero(runs.accepted))
+    accepted = runs.accepted
+    n = int(np.count_nonzero(accepted))
     if not n:
         raise ValueError("no accepted runs")
-    return SuccessStats.from_counts(
-        n=n, successes=int(np.count_nonzero(runs.correct & runs.accepted))
-    )
+    return SuccessStats.from_counts(n=n, successes=int(np.count_nonzero(runs.correct & accepted)))
 
 
 def sigma_violation(stats: SuccessStats, classical_p: float) -> float:

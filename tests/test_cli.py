@@ -1,6 +1,9 @@
+import dataclasses
+import errno
 import hashlib
 import json
 import math
+import os
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -10,7 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qccp import PRESETS, Runs, Task, classical_bound, cli, success_stats
+from qccp import (
+    PRESETS, Runs, Task, classical_bound, cli, optimize_window, quantum, success_stats,
+    visibility_from_gamma,
+)
 from qccp.cli import main
 
 
@@ -30,8 +36,11 @@ def parse_records_tsv(path):
          for c in header if c.startswith("input_")]
         for row in rows
     ]
-    columns = ("trigger_count", "accepted", "detected", "guessed", "answer", "truth")
-    return Runs(inputs=inputs, **{c: [int(row[c]) for row in rows] for c in columns})
+    stored = ("trigger_count", "detected", "answer", "truth")
+    runs = Runs(inputs=inputs, **{c: [int(row[c]) for row in rows] for c in stored})
+    for derived in ("accepted", "guessed"):
+        assert [int(row[derived]) for row in rows] == getattr(runs, derived).astype(int).tolist()
+    return runs
 
 
 class TestBounds:
@@ -305,6 +314,34 @@ class TestExperiment:
         assert "--task is required" in capsys.readouterr().err
 
 
+def experiment_params(task, *flags):
+    return cli._experiment_params(cli.build_parser().parse_args(["experiment", "--task", task, *flags]))
+
+
+@pytest.mark.parametrize("task", ["A", "B"])
+@pytest.mark.parametrize("flags, changes", [
+    ((), {}),
+    (("--parties", "3"), {"n_parties": 3}),
+    (("--n-target", "40"), {"n_target": 40}),
+    (("--eta", "0.3"), {"eta": 0.3}),
+    (("--visibility", "0.5"), {"visibility": 0.5}),
+    (("--window", "5e-05"), {"window": 5e-5}),
+    # a new rate alone moves the window to that rate's optimum
+    (("--trigger-rate", "8000"), {"trigger_rate": 8000.0, "window": optimize_window(8000.0).window}),
+    (("--trigger-rate", "8000", "--window", "5e-05"), {"trigger_rate": 8000.0, "window": 5e-5}),
+])
+def test_each_flag_overrides_only_its_field(task, flags, changes):
+    assert experiment_params(task, *flags) == dataclasses.replace(PRESETS[task], **changes)
+
+
+@pytest.mark.parametrize("task", ["A", "B"])
+def test_gamma_is_the_visibility_it_gives(task):
+    visibility = visibility_from_gamma(Task(task), 0.8)
+    from_gamma = experiment_params(task, "--gamma", "0.8")
+    assert from_gamma == experiment_params(task, "--visibility", repr(visibility))
+    assert from_gamma == dataclasses.replace(PRESETS[task], visibility=visibility)
+
+
 class TestConfigAndEnv:
     def test_config_file_supplies_flags(self, capsys, tmp_path):
         config = tmp_path / "run.cfg"
@@ -356,9 +393,10 @@ class TestConfigAndEnv:
         assert out_other != out_env
 
     def test_bad_seed_variable_is_named(self, capsys, monkeypatch):
-        monkeypatch.setenv("QCCP_SEED", "abc")
-        assert main(["experiment", "--task", "A", "--n-target", "10"]) == 2
-        assert "QCCP_SEED='abc'" in capsys.readouterr().err
+        for bad in ("abc", "-3"):
+            monkeypatch.setenv("QCCP_SEED", bad)
+            assert main(["experiment", "--task", "A", "--n-target", "10"]) == 2
+            assert f"QCCP_SEED='{bad}'" in capsys.readouterr().err
 
     def test_bad_config_value_names_file_line_and_key(self, capsys, tmp_path):
         config = tmp_path / "run.cfg"
@@ -374,6 +412,9 @@ BAD_VALUES = [
     ("optimize", "parties", "0"),
     ("optimize", "restarts", "0"),
     ("optimize", "grid", "0"),
+    ("optimize", "grid", "7"),
+    ("optimize", "seed", "-1"),
+    ("experiment", "seed", "-1"),
     ("experiment", "streams", "0"),
     ("experiment", "block-size", "0"),
     ("experiment", "trigger-rate", "nan"),
@@ -399,6 +440,25 @@ def test_bad_values_fail_loudly(capsys, tmp_path, command, key, value, source):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"--{key}" in err and value in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--parties", "2", "--out"],
+    ["optimize", "--parties", "2", "--grid", "8", "--restarts", "1", "--trace-out"],
+    ["experiment", "--task", "A", "--n-target", "10", "--out"],
+])
+def test_unwritable_output_is_a_usage_error(capsys, tmp_path, argv):
+    path = tmp_path / "missing" / "out"
+    assert main([*argv, str(path)]) == 2
+    assert f"error: cannot write {path}: {os.strerror(errno.ENOENT)}" in capsys.readouterr().err
+
+
+def test_quantum_exact_check_fails_on_a_broken_model(monkeypatch):
+    # digit 2 turns the qubit by +1 instead of -1: the model, not the target, is wrong
+    monkeypatch.setattr(quantum, "_QUARTER_UNITS", np.array([1, 1j, 1, -1j]))
+    checks = cli._reproduction_checks(7)
+    assert [c.name for c in checks if not c.passed] == ["quantum-exact-A-N1..6"]
+    assert next(c for c in checks if not c.passed).observed > 0
 
 
 def test_entry_point_requires_a_command():

@@ -217,15 +217,11 @@ class TestParamsAndRecords:
                 ExperimentParams(Task.A, 5, 5000.0, bad, eta=0.5, visibility=1.0, n_target=10)
 
     def test_record_invariants(self):
-        window = dict(inputs=[[0, 0]], trigger_count=[1], accepted=[True], detected=[True],
-                      guessed=[False], answer=[1], truth=[1])
+        window = dict(inputs=[[0, 0]], trigger_count=[1], detected=[True], answer=[1], truth=[1])
         Runs(**window)
         for broken in (
-            dict(trigger_count=[2]),  # accepted with two triggers
-            dict(trigger_count=[0]),  # accepted with no trigger
-            dict(trigger_count=[0], accepted=[False]),  # detected but not accepted
-            dict(detected=[False]),  # failed detection without a guess
-            dict(guessed=[True]),  # detected and guessed
+            dict(trigger_count=[2]),  # detected with two triggers
+            dict(trigger_count=[0]),  # detected but not accepted
             dict(answer=[0]),
             dict(truth=[2]),
             dict(answer=[1, 1]),  # column lengths differ
@@ -235,9 +231,8 @@ class TestParamsAndRecords:
                 Runs(**{**window, **broken})
 
     def test_unaccepted_windows_guess(self):
-        runs = Runs(inputs=[[0, 0], [1, 1]], trigger_count=[0, 3], accepted=[False, False],
-                    detected=[False, False], guessed=[True, True], answer=[1, -1],
-                    truth=[1, -1])
+        runs = Runs(inputs=[[0, 0], [1, 1]], trigger_count=[0, 3], detected=[False, False],
+                    answer=[1, -1], truth=[1, -1])
         assert len(runs) == 2 and runs.correct.tolist() == [True, True]
         rows = list(runs)
         assert rows[1] == ((1, 1), 3, False, False, True, -1, -1)

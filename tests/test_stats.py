@@ -24,9 +24,7 @@ def make_records(outcomes, accepted=None):
     return Runs(
         inputs=np.zeros((len(correct), 2), dtype=np.int64),
         trigger_count=acc.astype(np.int64),
-        accepted=acc,
         detected=acc,
-        guessed=~acc,
         answer=np.where(correct, 1, -1),
         truth=np.ones(len(correct), dtype=np.int64),
     )
@@ -72,7 +70,7 @@ class TestSuccessStats:
     @pytest.mark.parametrize("sigma", [-0.1, math.nan])
     def test_quoted_sigma_must_be_non_negative(self, sigma):
         with pytest.raises(ValueError, match="sigma"):
-            SuccessStats(n=10, successes=5, p_hat=0.5, sigma=sigma)
+            SuccessStats(n=10, successes=5, sigma=sigma)
 
     @given(st.integers(1, 2000), st.data())
     def test_wald_formula(self, n, data):
@@ -86,9 +84,10 @@ class TestSuccessStats:
 class TestSigmaViolation:
     def test_published_violations(self):
         # using the published rounded uncertainties as quoted
-        stats_a = SuccessStats(n=6692, successes=4758, p_hat=4758 / 6692, sigma=0.005)
+        stats_a = SuccessStats(n=6692, successes=4758, sigma=0.005)
+        assert stats_a.p_hat == 4758 / 6692
         assert sigma_violation(stats_a, 0.625) == pytest.approx(17.2, abs=0.1)
-        stats_b = SuccessStats(n=18169, successes=12155, p_hat=12155 / 18169, sigma=0.003)
+        stats_b = SuccessStats(n=18169, successes=12155, sigma=0.003)
         assert sigma_violation(stats_b, 0.582) == pytest.approx(29.0, abs=0.1)
 
     def test_zero_at_the_bound(self):
