@@ -35,7 +35,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .sampling import enumerate_a, enumerate_reduced_a, sample_inputs
-from .tasks import Task, check_domain, decompose_batch, task_value_batch
+from .tasks import Task, check_domain, row_blocks, task_value_batch
 
 BRUTE_FORCE_MAX_PARTIES = 4
 MIN_GRID_CELLS = 8  # fewest phase cells per party that coordinate ascent takes
@@ -203,16 +203,24 @@ def _answers(protocol: Strategy, tree: CommTree, inputs: np.ndarray) -> np.ndarr
 
     A product strategy's answer does not depend on the tree: each message
     multiplies in its sender's y_k a_k(x_k), so the root announces
-    prod(y) * prod(a_k(x_k)).
+    prod_k y_k a_k(x_k).  Block by block of rows, each party's factor is one
+    lookup in its table (a_k, -a_k) at x_k + width * [y_k = -1], with width
+    2 for task A, where that index is X_k itself, and M cells for task B.
     """
     if isinstance(protocol, GeneralProtocolA):
         cells = _input_cells(_send_plan(tree), protocol.tables, inputs)
         return protocol.tables[-1].ravel()[cells[tree.n_parties - 1]]
-    x, y = decompose_batch(_task_of(protocol), inputs)
-    if isinstance(protocol, ProductStrategyB):
-        x = protocol.cell_index(x)
-    local = protocol.signs[np.arange(tree.n_parties)[None, :], x]
-    return np.prod(local, axis=1) * np.prod(y, axis=1)
+    tables = np.concatenate([protocol.signs, -protocol.signs], axis=1)
+    answer = np.ones(len(inputs), dtype=np.int64)
+    for rows in row_blocks(len(inputs)):
+        block, product = inputs[rows], answer[rows]
+        for k, table in enumerate(tables):
+            index = block[:, k]
+            if isinstance(protocol, ProductStrategyB):
+                flip = index >= math.pi  # as decompose_batch
+                index = protocol.cell_index(index - math.pi * flip) + protocol.cells * flip
+            product *= table[index]
+    return answer
 
 
 def run_protocol(protocol: Strategy, tree: CommTree, inputs: Sequence) -> int:

@@ -254,11 +254,11 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         "restart_fidelities": list(result.restart_fidelities),
         "best_strategy": result.strategy.signs.tolist(),
     }
-    _emit(payload, args.format, args.out)
-    if args.trace_out:
+    if args.trace_out:  # first, so that a trace path that cannot be written emits no report
         lines = ["# schema: qccp-trace-v1", "sweep\tfidelity"]
         lines += [f"{i}\t{fid!r}" for i, fid in enumerate(result.trace)]
         Path(args.trace_out).write_text("\n".join(lines) + "\n")
+    _emit(payload, args.format, args.out)
     return 0
 
 

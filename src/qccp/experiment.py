@@ -308,7 +308,9 @@ def _first_accepted(d: np.ndarray, starts: np.ndarray, n: int, proposals: int) -
 
     A round at word q is ``sampling._propose_b``: ``proposals`` rows of n
     uniform phases, then one acceptance uniform per row, compared with
-    numpy's own row sums, cosines and comparisons.
+    numpy's own row sums, cosines and comparisons.  The rows here are few,
+    so ``sum(axis=1)`` is the cheaper call; the sampler's
+    :func:`qccp.tasks.row_sum` equals it bit for bit.
     """
     first = np.full(len(starts), -1)
     pending = np.arange(len(starts))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tasks import Task
+from .tasks import Task, row_blocks, row_sum
 
 MAX_ENUM_PARTIES = 10
 DEFAULT_MAX_REJECTION_ROUNDS = 10_000
@@ -47,16 +47,31 @@ def sample_a(n_parties: int, rng: np.random.Generator, size: int | None = None):
     count = 1 if size is None else int(size)
     out = np.empty((count, n_parties), dtype=np.int64)
     out[:, : n_parties - 1] = rng.integers(0, 4, size=(count, n_parties - 1))
-    parity = out[:, : n_parties - 1].sum(axis=1) % 2
+    parity = row_sum(out[:, : n_parties - 1]) % 2
     out[:, n_parties - 1] = parity + 2 * rng.integers(0, 2, size=count)
     return out[0] if size is None else out
 
 
 def _propose_b(n_parties: int, rng: np.random.Generator, count: int):
-    """One rejection round: uniform proposals and their accepted subset."""
-    proposals = rng.uniform(0.0, 2.0 * math.pi, size=(count, n_parties))
-    accept = rng.random(count) < np.abs(np.cos(proposals.sum(axis=1)))
-    return proposals[accept]
+    """One rejection round: uniform proposals and their accepted subset.
+
+    Draws ``count`` rows of N doubles, then ``count`` acceptance doubles.
+    ``random`` scaled in place by 2 pi gives the same bits as
+    ``uniform(0, 2 pi)``, which computes 0 + 2 pi * u, and leaves the
+    generator in the same state; :class:`qccp.experiment._Walk` replays
+    exactly these words.  Proposals are scored in blocks of rows, each
+    kept when its acceptance double is below |cos| of its row sum.
+    """
+    proposals = rng.random((count, n_parties))
+    proposals *= 2.0 * math.pi
+    uniforms = rng.random(count)
+    keep = np.empty(count, dtype=bool)
+    for rows in row_blocks(count):
+        score = row_sum(proposals[rows])
+        np.cos(score, out=score)
+        np.abs(score, out=score)
+        np.less(uniforms[rows], score, out=keep[rows])
+    return np.compress(keep, proposals, axis=0)
 
 
 def sample_b(
@@ -68,8 +83,11 @@ def sample_b(
     """Draw tuples from the task B density by rejection sampling.
 
     Proposals are uniform on [0, 2*pi)^N and accepted with probability
-    |cos(sum X)|, so the mean acceptance rate is 2/pi.  ``max_rounds`` caps
-    the number of rejection rounds; exhausting it signals a broken generator.
+    |cos(sum X)|, so the mean acceptance rate is 2/pi.  Each round is one
+    :func:`_propose_b` call, whose draws are bit for bit those of
+    ``rng.uniform(0, 2 pi, (count, N))`` then ``rng.random(count)``; rounds
+    run until ``size`` rows are accepted.  ``max_rounds`` caps their number:
+    a request still short after that many rounds signals a broken generator.
     """
     if n_parties < 1:
         raise ValueError("n_parties must be >= 1")
@@ -82,9 +100,9 @@ def sample_b(
         accepted = _propose_b(n_parties, rng, proposals_per_round(needed - got))
         chunks.append(accepted)
         got += len(accepted)
-    else:
+    if got < needed:
         raise RuntimeError(f"rejection sampler exhausted {max_rounds} rounds; generator broken?")
-    out = np.concatenate(chunks)[:needed]
+    out = (chunks[1] if len(chunks) == 2 else np.concatenate(chunks))[:needed]  # one round: no copy
     return out[0] if size is None else out
 
 

@@ -167,3 +167,43 @@ def brute_force_by_combination_a(parents) -> tuple[float, list[np.ndarray], int]
     masks = (np.arange(counts[-1])[:, None] >> np.arange(v.size)[None, :]) & 1
     root = 1 - 2 * masks[np.argmax(np.abs((1 - 2 * masks) @ v))]
     return best_fid, [*best_tables, root.reshape(shapes[-1])], math.prod(counts)
+
+
+def propose_b_uniform(n_parties: int, rng: np.random.Generator, count: int) -> np.ndarray:
+    """One task B rejection round as first written: ``uniform`` proposals,
+    accepted by a boolean row index where ``random`` < |cos| of numpy's row sum."""
+    proposals = rng.uniform(0.0, 2.0 * math.pi, size=(count, n_parties))
+    accept = rng.random(count) < np.abs(np.cos(proposals.sum(axis=1)))
+    return proposals[accept]
+
+
+def sample_b_uniform(n_parties: int, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Rounds of :func:`propose_b_uniform` until ``size`` rows are accepted.
+
+    A round proposes ``max(16, int(needed / (2/pi) * 1.1))`` rows; the
+    accepted rows are concatenated and cut to ``size``.
+    """
+    chunks, got = [np.empty((0, n_parties))], 0
+    while got < size:
+        count = max(16, int((size - got) / (2.0 / math.pi) * 1.1))
+        chunks.append(propose_b_uniform(n_parties, rng, count))
+        got += len(chunks[-1])
+    return np.concatenate(chunks)[:size]
+
+
+def product_answers(signs: np.ndarray, task_b: bool, inputs: np.ndarray) -> np.ndarray:
+    """A product strategy's answer per row: prod_k a_k(x_k) * prod_k y_k.
+
+    The whole (rows, N) input is split at once into reduced coordinates x
+    and signs y, x is mapped to its cell (task B: floor(x M / pi), clipped
+    to M-1), and both factors are reduced with ``np.prod`` along the rows.
+    """
+    if task_b:
+        flip = inputs >= math.pi
+        x, y = np.where(flip, inputs - math.pi, inputs), np.where(flip, -1, 1)
+        cells = signs.shape[1]
+        x = np.clip(np.floor(x * cells / math.pi).astype(np.int64), 0, cells - 1)
+    else:
+        x, y = inputs % 2, np.where(inputs < 2, 1, -1)
+    local = signs[np.arange(signs.shape[0])[None, :], x]
+    return np.prod(local, axis=1) * np.prod(y, axis=1)

@@ -34,6 +34,7 @@ from oracles import (
     even_sum_tuples,
     fidelity_by_enumeration_a,
     fidelity_by_quadrature_b,
+    product_answers,
     root_weights_a,
     run_tables,
     sign_table,
@@ -235,6 +236,50 @@ class TestFidelityMC:
             fidelity_mc(sign_tables(0, 2), CommTree.chain(2), Task.B, 10, rng)
         with pytest.raises(ValueError, match="task"):
             fidelity_mc(random_strategy_b(2, 8, rng), CommTree.chain(2), Task.A, 10, rng)
+
+
+class TestProductAnswers:
+    """The per-party table lookups against the whole-array decompose/np.prod formula."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_task_a(self, n):
+        rng = np.random.default_rng(n)
+        tuples = np.array(even_sum_tuples(n))
+        rows = np.concatenate([tuples, rng.integers(0, 4, size=(30_000, n))])
+        for _ in range(10):
+            strategy = ProductStrategyA(1 - 2 * rng.integers(0, 2, size=(n, 2)))
+            got = _answers(strategy, CommTree.chain(n), rows)
+            assert got.dtype == np.int64
+            assert got.tobytes() == product_answers(strategy.signs, False, rows).tobytes()
+
+    @staticmethod
+    def _edge_phases(cells: int) -> np.ndarray:
+        # X = 0, X = pi and every cell edge k pi / M of both halves, with their
+        # float neighbours: where the flip and the floor meet
+        edges = np.arange(cells + 1) * (math.pi / cells)
+        edges = np.concatenate([edges, math.pi + edges, [0.0, math.pi]])
+        near = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 7.0)])
+        return near[(near >= 0.0) & (near < 2.0 * math.pi)]
+
+    @pytest.mark.parametrize("cells", [7, 8, 64])
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_task_b(self, cells, n):
+        rng = np.random.default_rng([cells, n])
+        edges = self._edge_phases(cells)
+        rows = np.concatenate([
+            rng.choice(edges, size=(20_000, n)),
+            rng.uniform(0.0, 2.0 * math.pi, size=(20_000, n)),
+            np.tile(edges[:, None], (1, n)),
+        ])
+        for _ in range(5):
+            strategy = random_strategy_b(n, cells, rng)
+            got = _answers(strategy, CommTree.star(n), rows)
+            assert got.dtype == np.int64
+            assert got.tobytes() == product_answers(strategy.signs, True, rows).tobytes()
+
+    def test_no_rows(self):
+        strategy = half_split_strategy_b(3, 8)
+        assert _answers(strategy, CommTree.chain(3), np.empty((0, 3))).shape == (0,)
 
 
 class TestClassicalBound:

@@ -453,6 +453,18 @@ def test_unwritable_output_is_a_usage_error(capsys, tmp_path, argv):
     assert f"error: cannot write {path}: {os.strerror(errno.ENOENT)}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("to_file", [False, True])
+def test_unwritable_trace_emits_no_report(capsys, tmp_path, to_file):
+    trace = tmp_path / "missing" / "t.tsv"
+    report = tmp_path / "report.json"
+    argv = ["optimize", "--parties", "2", "--grid", "8", "--restarts", "1", "--trace-out", str(trace)]
+    assert main(argv + (["--out", str(report)] if to_file else [])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: cannot write {trace}: {os.strerror(errno.ENOENT)}" in captured.err
+    assert not report.exists()
+
+
 def test_quantum_exact_check_fails_on_a_broken_model(monkeypatch):
     # digit 2 turns the qubit by +1 instead of -1: the model, not the target, is wrong
     monkeypatch.setattr(quantum, "_QUARTER_UNITS", np.array([1, 1j, 1, -1j]))

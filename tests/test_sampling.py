@@ -6,10 +6,10 @@ from scipy import stats as sps
 
 from qccp import RandomStream, Task, enumerate_a, enumerate_reduced_a, sample_a, sample_b
 from qccp.quantum import run_quantum_batch
-from qccp.sampling import _propose_b
+from qccp.sampling import _propose_b, proposals_per_round
 from qccp.tasks import task_value_batch
 
-from oracles import binned_abs_cos_density, quadrature_1d
+from oracles import binned_abs_cos_density, propose_b_uniform, quadrature_1d, sample_b_uniform
 
 TWO_PI = 2.0 * math.pi
 
@@ -145,6 +145,48 @@ class TestSampleB:
         rng = RandomStream(0, 0).generator()
         with pytest.raises(RuntimeError, match="rounds"):
             sample_b(2, rng, size=10, max_rounds=0)
+
+    @staticmethod
+    def _first_round(seed: int, size: int) -> np.ndarray:
+        return propose_b_uniform(5, RandomStream(seed, 0).generator(), proposals_per_round(size))
+
+    def test_request_filled_by_the_last_allowed_round_returns(self):
+        seed = 0
+        first = self._first_round(seed, 10)
+        assert len(first) >= 10  # one round is enough at this seed
+        rng = RandomStream(seed, 0).generator()
+        assert np.array_equal(sample_b(5, rng, size=10, max_rounds=1), first[:10])
+
+    def test_request_short_after_the_last_round_raises(self):
+        seed = 3
+        assert len(self._first_round(seed, 10)) < 10  # this seed needs a second round
+        with pytest.raises(RuntimeError, match="exhausted 1 rounds"):
+            sample_b(5, RandomStream(seed, 0).generator(), size=10, max_rounds=1)
+        assert sample_b(5, RandomStream(seed, 0).generator(), size=10, max_rounds=2).shape == (10, 5)
+
+    def test_empty_request_needs_no_round(self):
+        rng = RandomStream(0, 0).generator()
+        before = rng.bit_generator.state
+        assert sample_b(3, rng, size=0, max_rounds=0).shape == (0, 3)
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    @pytest.mark.parametrize("size", [0, 1, 17, 100_000])
+    def test_matches_the_uniform_sampler(self, n, size):
+        # the column kernel draws random() * 2 pi in place of uniform(0, 2 pi)
+        # and scores in row blocks: the same rows and the same generator state
+        rng, oracle = RandomStream(41, n).generator(), RandomStream(41, n).generator()
+        got, want = sample_b(n, rng, size=size), sample_b_uniform(n, oracle, size)
+        assert got.shape == want.shape == (size, n)
+        assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == oracle.bit_generator.state
+
+    @pytest.mark.parametrize("count", [1, 16, 8191, 8192, 8193, 40_000])
+    def test_one_round_matches_the_uniform_round(self, count):
+        # counts around one block of rows, and several blocks
+        rng, oracle = RandomStream(43, count).generator(), RandomStream(43, count).generator()
+        assert _propose_b(5, rng, count).tobytes() == propose_b_uniform(5, oracle, count).tobytes()
+        assert rng.bit_generator.state == oracle.bit_generator.state
 
 
 class TestEnumerateA:

@@ -22,9 +22,44 @@ from qccp import (
     task_value_batch,
 )
 
+from qccp.tasks import row_sum
+
 from oracles import quadrature_nd, task_value_a, task_value_b
 
 TWO_PI = 2.0 * math.pi
+
+
+class TestRowSum:
+    # row_sum must be bit for bit numpy's sum(axis=1): the samplers use it, the
+    # experiment engine replays their acceptance test with sum(axis=1)
+    @pytest.mark.parametrize("n", range(13))
+    @pytest.mark.parametrize("rows", [0, 1, 5000])
+    def test_float64_equals_numpy(self, n, rows):
+        rng = np.random.default_rng([n, rows])
+        # magnitudes spread over 16 decades, so every addition rounds
+        arr = rng.normal(size=(rows, n)) * 10.0 ** rng.integers(-8, 8, size=(rows, n))
+        got = row_sum(arr)
+        assert got.dtype == np.float64 and got.shape == (rows,)
+        assert got.tobytes() == arr.sum(axis=1).tobytes()
+
+    @pytest.mark.parametrize("n", range(13))
+    @pytest.mark.parametrize("rows", [0, 1, 5000])
+    def test_int64_equals_numpy(self, n, rows):
+        arr = np.random.default_rng([n, rows]).integers(-(2**62), 2**62, size=(rows, n))
+        got = row_sum(arr)
+        assert got.dtype == np.int64
+        assert got.tobytes() == arr.sum(axis=1).tobytes()
+
+    def test_phases_and_column_views(self):
+        # the callers' inputs: phases in [0, 2 pi), and a slice of the columns
+        arr = np.random.default_rng(3).uniform(0.0, TWO_PI, size=(20_000, 7))
+        for view in (arr, arr[:, :4], arr[:, 2:], arr[::3]):
+            assert row_sum(view).tobytes() == view.sum(axis=1).tobytes()
+
+    def test_leaves_its_input_alone(self):
+        arr = np.arange(12.0).reshape(4, 3)
+        row_sum(arr)
+        assert arr.tolist() == np.arange(12.0).reshape(4, 3).tolist()
 
 
 class TestTaskValue:
