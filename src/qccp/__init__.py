@@ -18,8 +18,7 @@ from .classical import (
     classical_bound,
     coordinate_ascent_b,
     exhaust_product_strategies_a,
-    fidelity_exact_a,
-    fidelity_exact_b,
+    fidelity_exact,
     fidelity_mc,
     half_split_strategy_b,
     optimize_strategy_b,
@@ -53,7 +52,6 @@ from .quantum import (
 from .sampling import (
     RandomStream,
     enumerate_a,
-    enumerate_reduced_a,
     sample_a,
     sample_b,
     sample_inputs,
@@ -77,7 +75,6 @@ from .tasks import (
     decompose_batch,
     density_b,
     reduced_density,
-    reduced_value,
     task_value,
     task_value_batch,
 )

@@ -5,20 +5,23 @@ N-1 one-bit messages along a rooted tree whose root (party N-1, 0-based)
 announces the answer.  Every non-root party sends exactly once, after hearing
 from all of its children.
 
-Because the target factorises as ``prod_k y_k * reduced_value(x)`` and each
-y_k is an unbiased coin, any protocol whose answer ignores some y_k is blind
-guessing.  Forcing every message to carry its sender's y_k collapses the
-answer to the product form ``prod_k a_k(x_k) y_k`` with per-party sign
-functions a_k.  This module evaluates such product strategies exactly, and
-for small N certifies the reduction itself over ALL general message-table
-protocols, product form or not.  The root's table, which enters the fidelity
-linearly, is maximised in closed form; so is every table of the last sender
-at once, by one matrix product per combination of the other senders' tables,
-which alone are enumerated one by one.
+Because the target factorises as ``prod_k y_k`` times the reduced target on
+x (:func:`qccp.tasks.decompose_batch`) and each y_k is an unbiased coin, any
+protocol whose answer ignores some y_k is blind guessing.  Forcing every
+message to carry its sender's y_k collapses the answer to the product form
+``prod_k a_k(x_k) y_k`` with per-party sign functions a_k.  The fidelity of
+such a product strategy factorises over the parties too, as
+``|Re prod_k z_k| / norm`` (:func:`_product_fidelity`), for both tasks.  For
+small N this module also certifies the reduction itself over ALL general
+message-table protocols, product form or not.  The root's table, which
+enters the fidelity linearly, is maximised in closed form; so is every table
+of the last sender at once, by one matrix product per combination of the
+other senders' tables, which alone are enumerated one by one.
 
-Message passing has one implementation, :func:`_input_cells`, which runs the
-senders over a batch of input rows; single runs, Monte Carlo estimates and
-the exhaustive search all go through it.
+A general protocol passes its messages through :func:`_input_cells` over a
+batch of input rows, in single runs, Monte Carlo estimates and the
+exhaustive search alike; a product strategy answers with one table lookup
+per party.
 
 Closed-form optima:
     task A:  F = 2^(1-K), K = ceil(N/2)         (success (1+F)/2, 5/8 at N=5)
@@ -34,7 +37,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .sampling import enumerate_a, enumerate_reduced_a, sample_inputs
+from .sampling import enumerate_a, sample_inputs
 from .tasks import Task, check_domain, row_blocks, task_value_batch
 
 BRUTE_FORCE_MAX_PARTIES = 4
@@ -97,8 +100,8 @@ class ProductStrategyA:
 
     def __post_init__(self):
         arr = np.asarray(self.signs, dtype=np.int64)
-        if arr.ndim != 2 or arr.shape[1] != 2 or not np.isin(arr, (-1, 1)).all():
-            raise ValueError("signs must be an (N, 2) array of +-1")
+        if arr.ndim != 2 or len(arr) < 1 or arr.shape[1] != 2 or not np.isin(arr, (-1, 1)).all():
+            raise ValueError("signs must be an (N >= 1, 2) array of +-1")
         object.__setattr__(self, "signs", arr)
 
     @property
@@ -114,8 +117,8 @@ class ProductStrategyB:
 
     def __post_init__(self):
         arr = np.asarray(self.signs, dtype=np.int64)
-        if arr.ndim != 2 or arr.shape[1] < 2 or not np.isin(arr, (-1, 1)).all():
-            raise ValueError("signs must be an (N, M>=2) array of +-1")
+        if arr.ndim != 2 or len(arr) < 1 or arr.shape[1] < 2 or not np.isin(arr, (-1, 1)).all():
+            raise ValueError("signs must be an (N >= 1, M >= 2) array of +-1")
         object.__setattr__(self, "signs", arr)
 
     @property
@@ -232,23 +235,7 @@ def run_protocol(protocol: Strategy, tree: CommTree, inputs: Sequence) -> int:
     return int(_answers(protocol, tree, row)[0])
 
 
-def _fidelities_a(signs: np.ndarray) -> np.ndarray:
-    """Exact fidelities of a stack of task A product strategies, shape (S, N, 2).
-
-    Sums (-1)^(sum x / 2) * prod_k a_k(x_k) over the 2^(N-1) even-parity bit
-    strings with uniform weight 2^(1-N).  All terms are dyadic, so the result
-    carries no rounding error and exact comparisons are safe.
-    """
-    n = signs.shape[1]
-    bits = enumerate_reduced_a(n)
-    prods = np.prod(signs[:, np.arange(n)[None, :], bits], axis=2, dtype=np.float64)
-    f = np.where((bits.sum(axis=1) // 2) % 2 == 1, -1.0, 1.0)
-    return np.abs(prods @ f) * 2.0 ** (1 - n)
-
-
-def fidelity_exact_a(strategy: ProductStrategyA) -> float:
-    """Exact fidelity of a task A product strategy."""
-    return float(_fidelities_a(strategy.signs[None])[0])
+_PHASE_A = np.array([1.0, 1.0j])  # i^x for the reduced task A bit x
 
 
 def _cell_integrals(cells: int) -> np.ndarray:
@@ -258,20 +245,36 @@ def _cell_integrals(cells: int) -> np.ndarray:
     return (expo[1:] - expo[:-1]) / 1j
 
 
-def _fidelity_b(z: np.ndarray) -> float:
-    """|Re prod_k z_k| / (2 pi^(N-1)): the task B fidelity from each party's z_k."""
-    return abs(float(np.prod(z).real)) / (2.0 * math.pi ** (len(z) - 1))
+def _product_fidelity(z: np.ndarray, norm: float) -> np.ndarray:
+    """Product-strategy fidelity |Re prod_k z_k| / norm over the last axis of z.
 
+    Party k's z_k is its signs weighted by the phase of its reduced input:
+    for task A, z_k = a_k(0) + i a_k(1), since over the even-parity bit
+    strings the reduced target (-1)^(sum x / 2) is Re i^(sum x), and
+    Re i^(sum x) = 0 on odd sums; the norm is 2^(N-1).  For task B,
+    z_k = sum_c a_k[c] * int_cell e^{ix} dx over the cells of [0, pi)
+    (:func:`_cell_integrals`), which splits the integral of
+    cos(sum x) * prod a_k over the parties; the norm is 2 pi^(N-1).
 
-def fidelity_exact_b(strategy: ProductStrategyB) -> float:
-    """Exact fidelity of a task B product strategy.
-
-    The integrand cos(sum x) * prod a_k splits over parties as the real part
-    of prod_k z_k with z_k = sum_c a_k[c] * int_cell e^{ix} dx, so the
-    multi-dimensional integral is evaluated from per-cell antiderivatives
-    with no quadrature error beyond float rounding.
+    Task A's z_k are Gaussian integers, so its fidelities are exact dyadics.
+    Each has modulus sqrt(2) and an argument that is an odd multiple of
+    pi/4, so the product has modulus 2^(N/2) and an argument that is a
+    multiple of pi/2 for even N, an odd multiple of pi/4 for odd N.  Its
+    real part is then at most 2^(N/2) or 2^((N-1)/2), which bounds F by
+    2^(1 - ceil(N/2)) at every N.  Dividing by ``norm`` rounds once;
+    multiplying by its inverse would round twice and move task B's values
+    in the last bit.
     """
-    return _fidelity_b(strategy.signs.astype(np.float64) @ _cell_integrals(strategy.cells))
+    return np.abs(np.prod(z, axis=-1).real) / norm
+
+
+def fidelity_exact(strategy: ProductStrategyA | ProductStrategyB) -> float:
+    """Exact fidelity of a product strategy; its type names the task."""
+    n = strategy.n_parties
+    if isinstance(strategy, ProductStrategyB):
+        z = strategy.signs @ _cell_integrals(strategy.cells)
+        return float(_product_fidelity(z, 2.0 * math.pi ** (n - 1)))
+    return float(_product_fidelity(strategy.signs @ _PHASE_A, 2.0 ** (n - 1)))
 
 
 def fidelity_mc(
@@ -330,6 +333,8 @@ def _sign_tables(index, shape: tuple[int, int]) -> np.ndarray:
 
 def product_strategy_a_from_index(index: int, n_parties: int) -> ProductStrategyA:
     """Decode one of the 4^N product strategies: a_k(x) = -1 where bit 2k+x is set."""
+    if not 0 <= index < 4**n_parties:
+        raise ValueError(f"strategy index {index} outside [0, 4^{n_parties})")
     return ProductStrategyA(_sign_tables(index, (n_parties, 2)))
 
 
@@ -339,7 +344,10 @@ def exhaust_product_strategies_a(n_parties: int) -> tuple[np.ndarray, int]:
     Returns (fidelities over all 4^N indices, argmax index); ties resolve to
     the lowest index.
     """
-    fids = _fidelities_a(_sign_tables(np.arange(4**n_parties), (n_parties, 2)))
+    if n_parties < 1:
+        raise ValueError("n_parties must be >= 1")
+    z = _sign_tables(np.arange(4**n_parties), (n_parties, 2)) @ _PHASE_A
+    fids = _product_fidelity(z, 2.0 ** (n_parties - 1))
     return fids, int(np.argmax(fids))
 
 
@@ -478,9 +486,10 @@ def coordinate_ascent_b(init: ProductStrategyB, max_sweeps: int = 500) -> Ascent
         raise ValueError(f"need at least {MIN_GRID_CELLS} cells")
     n = init.n_parties
     cell_int = _cell_integrals(init.cells)
+    norm = 2.0 * math.pi ** (n - 1)
     signs = init.signs.astype(np.float64).copy()
     z = signs @ cell_int
-    trace = [_fidelity_b(z)]
+    trace = [float(_product_fidelity(z, norm))]
     for _ in range(max_sweeps):
         changed = False
         for k in range(n):
@@ -491,7 +500,7 @@ def coordinate_ascent_b(init: ProductStrategyB, max_sweeps: int = 500) -> Ascent
                 signs[k] = new
                 z[k] = new @ cell_int
                 changed = True
-        trace.append(_fidelity_b(z))
+        trace.append(float(_product_fidelity(z, norm)))
         if not changed:
             break
     return AscentResult(ProductStrategyB(signs.astype(np.int64)), tuple(trace))

@@ -111,12 +111,6 @@ def proposals_per_round(needed: int) -> int:
     return max(MIN_PROPOSALS, int(needed / (2.0 / math.pi) * 1.1))
 
 
-def _even_sum_strings(base: int, n_parties: int) -> np.ndarray:
-    """All length-N base-``base`` digit strings with an even digit sum, in lexicographic order."""
-    strings = np.arange(base**n_parties)[:, None] // base ** np.arange(n_parties - 1, -1, -1) % base
-    return strings[strings.sum(axis=1) % 2 == 0]
-
-
 def enumerate_a(n_parties: int) -> tuple[np.ndarray, np.ndarray]:
     """All even-sum quaternary tuples with their uniform weights 2/4^N.
 
@@ -126,13 +120,9 @@ def enumerate_a(n_parties: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if not 1 <= n_parties <= MAX_ENUM_PARTIES:
         raise ValueError(f"enumeration supports 1 <= N <= {MAX_ENUM_PARTIES}")
-    tuples = _even_sum_strings(4, n_parties)
+    digits = np.arange(4**n_parties)[:, None] // 4 ** np.arange(n_parties - 1, -1, -1) % 4
+    tuples = digits[digits.sum(axis=1) % 2 == 0]
     return tuples, np.full(len(tuples), 2.0 / 4.0**n_parties)
-
-
-def enumerate_reduced_a(n_parties: int) -> np.ndarray:
-    """All even-parity bit strings of length N, shape (2^(N-1), N)."""
-    return _even_sum_strings(2, n_parties)
 
 
 def sample_inputs(

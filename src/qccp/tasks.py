@@ -11,8 +11,9 @@ cos(sum X).
 
 Both tasks admit the same reduction: write X_k as a sign y_k plus a reduced
 coordinate x_k (a bit for A, a value in [0, pi) for B).  The target then
-factorises as ``prod_k y_k * reduced_value(x)``, which is what confines
-optimal one-bit protocols to product form (see :mod:`qccp.classical`).
+factorises as ``prod_k y_k`` times the target on x alone, which is what
+confines optimal one-bit protocols to product form (see
+:mod:`qccp.classical`).
 
 Task A's distribution is taken UNIFORM over the 4^N/2 even-sum tuples.  Only
 the even-sum promise is intrinsic to the task; uniformity is the modelling
@@ -161,17 +162,6 @@ def compose(task: Task, x, y) -> np.ndarray:
     if task is Task.A:
         return (1 - y) + x
     return np.where(y == 1, x, np.minimum(math.pi + x, _BELOW_TWO_PI))
-
-
-def reduced_value(task: Task, x: Sequence) -> int:
-    """The reduced target on x alone: task_value = prod(y) * reduced_value(x).
-
-    With every y_k = +1, X = x, so this is :func:`task_value` on the reduced
-    domain: ``(-1)^(sum(x)/2)`` on even-parity bits for task A, the sign of
-    cos(sum x) on [0, pi)^N for task B.
-    """
-    check_domain(task, [x], reduced=True)
-    return task_value(task, x)
 
 
 def density_b(rows) -> np.ndarray:

@@ -52,6 +52,31 @@ def even_sum_tuples(n_parties: int) -> list[tuple[int, ...]]:
     ]
 
 
+def enumerate_reduced_a(n_parties: int) -> np.ndarray:
+    """All even-parity bit strings of length N, shape (2^(N-1), N), in lexicographic order."""
+    return np.array(
+        [bits for bits in itertools.product((0, 1), repeat=n_parties) if sum(bits) % 2 == 0]
+    )
+
+
+def product_fidelities_by_parity_a(signs: np.ndarray, block: int = 4096) -> np.ndarray:
+    """Exact fidelities of a stack of task A product strategies, shape (S, N, 2).
+
+    Sums (-1)^(sum x / 2) * prod_k a_k(x_k) over the 2^(N-1) even-parity bit
+    strings x with uniform weight 2^(1-N), ``block`` strategies at a time.
+    Every term is dyadic, so the sums carry no rounding error.
+    """
+    n = signs.shape[1]
+    bits = enumerate_reduced_a(n)
+    f = np.where((bits.sum(axis=1) // 2) % 2 == 1, -1.0, 1.0)
+    out = np.empty(len(signs))
+    for lo in range(0, len(signs), block):
+        part = signs[lo : lo + block]
+        prods = np.prod(part[:, np.arange(n)[None, :], bits], axis=2, dtype=np.float64)
+        out[lo : lo + block] = np.abs(prods @ f) * 2.0 ** (1 - n)
+    return out
+
+
 def fidelity_by_enumeration_a(answer_fn, n_parties: int) -> float:
     """|E[T * answer]| over the uniform even-sum ensemble, by direct summation.
 

@@ -17,8 +17,7 @@ from qccp import (
     coordinate_ascent_b,
     enumerate_a,
     exhaust_product_strategies_a,
-    fidelity_exact_a,
-    fidelity_exact_b,
+    fidelity_exact,
     fidelity_mc,
     half_split_strategy_b,
     optimize_strategy_b,
@@ -35,6 +34,7 @@ from oracles import (
     fidelity_by_enumeration_a,
     fidelity_by_quadrature_b,
     product_answers,
+    product_fidelities_by_parity_a,
     root_weights_a,
     run_tables,
     sign_table,
@@ -122,11 +122,11 @@ class TestRunProtocol:
 
 class TestFidelityExactA:
     def test_perfect_n2_strategy(self):
-        assert fidelity_exact_a(ProductStrategyA([[1, -1], [1, 1]])) == 1.0
+        assert fidelity_exact(ProductStrategyA([[1, -1], [1, 1]])) == 1.0
 
     def test_all_ones_n5(self):
         strategy = ProductStrategyA(np.ones((5, 2), dtype=int))
-        assert fidelity_exact_a(strategy) == 0.25
+        assert fidelity_exact(strategy) == 0.25
 
     def test_matches_direct_enumeration_oracle(self):
         tree = CommTree.chain(4)
@@ -135,15 +135,15 @@ class TestFidelityExactA:
             oracle = fidelity_by_enumeration_a(
                 lambda combo: run_protocol(strategy, tree, combo), 4
             )
-            assert fidelity_exact_a(strategy) == pytest.approx(oracle, abs=1e-14)
+            assert fidelity_exact(strategy) == pytest.approx(oracle, abs=1e-14)
 
     @given(st.integers(0, 4**6 - 1), st.integers(2, 6))
     @settings(max_examples=80)
     def test_fidelity_lies_in_unit_interval(self, index, n):
-        fid = fidelity_exact_a(product_strategy_a_from_index(index % 4**n, n))
+        fid = fidelity_exact(product_strategy_a_from_index(index % 4**n, n))
         assert 0.0 <= fid <= 1.0
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", range(1, 10))
     def test_exhaustion_attains_but_never_exceeds_bound(self, n):
         bound = classical_bound(Task.A, n).fidelity
         fids, best = exhaust_product_strategies_a(n)
@@ -151,22 +151,37 @@ class TestFidelityExactA:
         assert fids[best] == bound
         assert np.all(fids <= bound)
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_exhaustion_matches_parity_string_oracle(self, n):
+        fids, best = exhaust_product_strategies_a(n)
+        # a_k(x) = -1 where bit 2k + x of the strategy index is set
+        bit = 2 * np.arange(n)[:, None] + np.arange(2)
+        signs = 1 - 2 * ((np.arange(4**n)[:, None, None] >> bit) & 1)
+        want = product_fidelities_by_parity_a(signs)
+        assert fids.dtype == want.dtype and fids.tobytes() == want.tobytes()
+        assert best == int(np.argmax(want))
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_exhaustion_refuses_no_parties(self, n):
+        with pytest.raises(ValueError, match="n_parties"):
+            exhaust_product_strategies_a(n)
+
 
 class TestFidelityExactB:
     def test_half_split_single_party_is_perfect(self):
-        assert fidelity_exact_b(half_split_strategy_b(1, 64)) == pytest.approx(
+        assert fidelity_exact(half_split_strategy_b(1, 64)) == pytest.approx(
             1.0, abs=1e-12
         )
 
     def test_half_split_two_parties(self):
-        got = fidelity_exact_b(half_split_strategy_b(2, 64))
+        got = fidelity_exact(half_split_strategy_b(2, 64))
         assert got == pytest.approx(TWO_OVER_PI, abs=1e-12)
 
     def test_all_ones_two_parties(self):
         # the constant strategy ignores x entirely yet attains 2/pi at N=2:
         # int cos(x1+x2) over [0,pi)^2 is -4, not 0
         strategy = ProductStrategyB(np.ones((2, 64), dtype=int))
-        got = fidelity_exact_b(strategy)
+        got = fidelity_exact(strategy)
         oracle = fidelity_by_quadrature_b(strategy.signs, k=3200)
         assert got == pytest.approx(oracle, abs=1e-4)
         assert got == pytest.approx(TWO_OVER_PI, abs=1e-12)
@@ -177,14 +192,14 @@ class TestFidelityExactB:
             for _ in range(4):
                 strategy = random_strategy_b(n, 16, rng)
                 oracle = fidelity_by_quadrature_b(strategy.signs, k=3200)
-                assert fidelity_exact_b(strategy) == pytest.approx(oracle, abs=1e-4)
+                assert fidelity_exact(strategy) == pytest.approx(oracle, abs=1e-4)
 
     def test_never_exceeds_bound(self):
         rng = RandomStream(5, 0).generator()
         for n in (2, 3, 4):
             bound = classical_bound(Task.B, n).fidelity
             for _ in range(50):
-                assert fidelity_exact_b(random_strategy_b(n, 32, rng)) <= bound + 1e-12
+                assert fidelity_exact(random_strategy_b(n, 32, rng)) <= bound + 1e-12
 
 
 class TestFidelityMC:
@@ -212,13 +227,13 @@ class TestFidelityMC:
         tree = CommTree.chain(4)
         for k in range(50):
             strategy = sign_tables(k, 4)
-            exact = fidelity_exact_a(strategy)
+            exact = fidelity_exact(strategy)
             est, err = fidelity_mc(strategy, tree, Task.A, 40_000, rng)
             assert abs(est - exact) <= 3 * max(err, 1e-9)
         tree_b = CommTree.chain(3)
         for k in range(50):
             strategy = random_strategy_b(3, 16, rng)
-            exact = fidelity_exact_b(strategy)
+            exact = fidelity_exact(strategy)
             est, err = fidelity_mc(strategy, tree_b, Task.B, 40_000, rng)
             assert abs(est - exact) <= 3 * max(err, 1e-9)
 
@@ -516,3 +531,17 @@ class TestStrategyTypes:
                 t |= ((1 - int(strategy.signs[k, 1])) // 2) << 1
                 back |= t << (2 * k)
             assert back == idx
+
+    @pytest.mark.parametrize("index", [-1, 16, 17])
+    def test_strategy_index_outside_range_refused(self, index):
+        with pytest.raises(ValueError, match="outside"):
+            product_strategy_a_from_index(index, 2)
+
+    @pytest.mark.parametrize("cls, width", [(ProductStrategyA, 2), (ProductStrategyB, 8)])
+    def test_zero_parties_refused(self, cls, width):
+        with pytest.raises(ValueError, match="N >= 1"):
+            cls(np.ones((0, width), dtype=int))
+
+    def test_optimize_refuses_zero_parties(self):
+        with pytest.raises(ValueError, match="N >= 1"):
+            optimize_strategy_b(0, 8, 1, RandomStream(0, 0).generator())

@@ -151,6 +151,23 @@ class TestOptimize:
         assert lines[0] == "# schema: qccp-trace-v1"
         assert len(lines) == 2 + len(trace)
 
+    # sha256 of the optimize report and trace TSV, recorded while the task B
+    # fidelity still had its own evaluator beside task A's parity-string sum
+    GOLDEN_SHA256 = (
+        "91691af5006afa983d55e3264e60293ce163ee010ef250caf6d1ea4d9958635e",
+        "8cab2887d0eaf200f93a0eba19658400e53bdfd4e8c9fdf1fbe2555a1a744872",
+    )
+
+    def test_golden_digests(self, capsys, tmp_path):
+        out, trace = tmp_path / "optimize.json", tmp_path / "trace.tsv"
+        code, _ = run_cli(
+            capsys, "optimize", "--parties", "5", "--grid", "64", "--restarts", "20",
+            "--seed", "7", "--out", str(out), "--trace-out", str(trace),
+        )
+        assert code == 0
+        digests = tuple(hashlib.sha256(f.read_bytes()).hexdigest() for f in (out, trace))
+        assert digests == self.GOLDEN_SHA256
+
 
 class TestExperiment:
     ARGS = (

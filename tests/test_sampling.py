@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from qccp import RandomStream, Task, enumerate_a, enumerate_reduced_a, sample_a, sample_b
+from qccp import RandomStream, Task, enumerate_a, sample_a, sample_b
 from qccp.quantum import run_quantum_batch
 from qccp.sampling import _propose_b, proposals_per_round
 from qccp.tasks import task_value_batch
 
-from oracles import binned_abs_cos_density, propose_b_uniform, quadrature_1d, sample_b_uniform
+from oracles import (
+    binned_abs_cos_density, enumerate_reduced_a, propose_b_uniform, quadrature_1d, sample_b_uniform,
+)
 
 TWO_PI = 2.0 * math.pi
 

@@ -3,10 +3,6 @@
 import subprocess
 import sys
 
-import pytest
-
-from qccp import Task, classical_bound
-
 from support import ROOT, subprocess_env
 
 
@@ -28,13 +24,3 @@ def test_detection_sweep():
     for eta, p_sim, sigma, p_pred, _ in rows:
         assert abs(float(p_sim) - float(p_pred)) < 4 * float(sigma) + 1e-4
 
-
-def test_bounds_vs_parties():
-    lines = run_script("bounds_vs_parties.py", "--max-parties", "4")
-    assert lines[0].split("\t")[0] == "N"
-    rows = [line.split("\t") for line in lines[1:]]
-    assert [r[0] for r in rows] == ["1", "2", "3", "4"]
-    for n, pa, qa, pb, qb in rows:
-        assert float(pa) == pytest.approx(classical_bound(Task.A, int(n)).success, abs=1e-6)
-        assert float(pb) == pytest.approx(classical_bound(Task.B, int(n)).success, abs=1e-6)
-        assert float(qa) == 1.0 and float(qb) == pytest.approx(0.892699, abs=1e-6)

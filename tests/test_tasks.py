@@ -15,7 +15,6 @@ from qccp import (
     density_b,
     enumerate_a,
     reduced_density,
-    reduced_value,
     run_quantum,
     run_quantum_batch,
     task_value,
@@ -124,7 +123,7 @@ class TestTaskValue:
 
 
 def reduced_values(task: Task, x) -> np.ndarray:
-    """:func:`reduced_value` on each row: the target on the checked reduced domain."""
+    """The target on each row of reduced coordinates x, checked against the reduced domain."""
     return task_value_batch(task, check_domain(task, x, reduced=True))
 
 
@@ -171,7 +170,7 @@ class TestDecomposition:
         assert density_b(back) > 0.0
 
     def test_identity_exhaustive_a_through_n6(self):
-        # task_value(X) == prod(y) * reduced_value(x) on every promised tuple
+        # task_value(X) == prod(y) * the target on x, on every promised tuple
         for n in range(1, 7):
             tuples, _ = enumerate_a(n)
             x, y = decompose_batch(Task.A, tuples)
@@ -192,19 +191,19 @@ class TestDecomposition:
 
 class TestReducedValue:
     def test_examples(self):
-        assert reduced_value(Task.A, (1, 1, 0, 0, 0)) == -1
-        assert reduced_value(Task.A, (0, 0)) == 1
-        assert reduced_value(Task.B, (math.pi / 2, math.pi / 2)) == -1
+        assert reduced_values(Task.A, [(1, 1, 0, 0, 0)]).tolist() == [-1]
+        assert reduced_values(Task.A, [(0, 0)]).tolist() == [1]
+        assert reduced_values(Task.B, [(math.pi / 2, math.pi / 2)]).tolist() == [-1]
 
     def test_parity_violation(self):
         with pytest.raises(PromiseViolationError):
-            reduced_value(Task.A, (1, 0))
+            reduced_values(Task.A, [(1, 0)])
 
     def test_reduced_domain_checks(self):
         with pytest.raises(ValueError):
-            reduced_value(Task.A, (2, 0))
+            reduced_values(Task.A, [(2, 0)])
         with pytest.raises(ValueError):
-            reduced_value(Task.B, (math.pi,))
+            reduced_values(Task.B, [(math.pi,)])
 
 
 class TestDensities:
@@ -296,7 +295,7 @@ def test_one_row_calls_equal_their_batch_rows(data, task, visibility, seed):
     x, _ = decompose_batch(task, np.array(rows))
     if task is Task.A or all(abs(math.cos(math.fsum(r))) > 1e-9 for r in x.tolist()):
         reduced = task_value_batch(task, x)
-        assert [reduced_value(task, r) for r in x.tolist()] == reduced.tolist()
+        assert [reduced_values(task, [r])[0] for r in x.tolist()] == reduced.tolist()
     rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
     answers = run_quantum_batch(task, rows, visibility, twin)
     assert [run_quantum(task, row, visibility, rng) for row in rows] == answers.tolist()
