@@ -41,7 +41,10 @@ from .sampling import enumerate_a, sample_inputs
 from .tasks import Task, check_domain, row_blocks, task_value_batch
 
 BRUTE_FORCE_MAX_PARTIES = 4
+EXHAUST_MAX_PARTIES = 10  # exhaustion holds all 4^N strategies at once: ~0.7 GB peak at N=10
 MIN_GRID_CELLS = 8  # fewest phase cells per party that coordinate ascent takes
+ASCENT_BLOCK = 32  # restarts that optimize_strategy_b ascends together
+MAX_SWEEPS = 500  # coordinate-ascent sweeps before a restart is stopped unconverged
 
 
 @dataclass(frozen=True)
@@ -270,6 +273,11 @@ def _product_fidelity(z: np.ndarray, norm: float) -> np.ndarray:
 
 def fidelity_exact(strategy: ProductStrategyA | ProductStrategyB) -> float:
     """Exact fidelity of a product strategy; its type names the task."""
+    if not isinstance(strategy, (ProductStrategyA, ProductStrategyB)):
+        raise TypeError(
+            f"only ProductStrategyA and ProductStrategyB have an exact evaluator,"
+            f" not {type(strategy).__name__}"
+        )
     n = strategy.n_parties
     if isinstance(strategy, ProductStrategyB):
         z = strategy.signs @ _cell_integrals(strategy.cells)
@@ -342,10 +350,12 @@ def exhaust_product_strategies_a(n_parties: int) -> tuple[np.ndarray, int]:
     """Exact fidelity of every product strategy, indexed as above.
 
     Returns (fidelities over all 4^N indices, argmax index); ties resolve to
-    the lowest index.
+    the lowest index.  The (4^N, N, 2) sign tables and the (4^N, N) z are
+    built in one piece, about 0.17 GB each at N=10 and four times that per
+    added party, so N is capped at ``EXHAUST_MAX_PARTIES``.
     """
-    if n_parties < 1:
-        raise ValueError("n_parties must be >= 1")
+    if not 1 <= n_parties <= EXHAUST_MAX_PARTIES:
+        raise ValueError(f"n_parties must be in 1..{EXHAUST_MAX_PARTIES}, got {n_parties}")
     z = _sign_tables(np.arange(4**n_parties), (n_parties, 2)) @ _PHASE_A
     fids = _product_fidelity(z, 2.0 ** (n_parties - 1))
     return fids, int(np.argmax(fids))
@@ -472,38 +482,67 @@ class OptimizeResult(NamedTuple):
     restart_fidelities: tuple[float, ...]
 
 
-def coordinate_ascent_b(init: ProductStrategyB, max_sweeps: int = 500) -> AscentResult:
-    """Ascend the task B fidelity over one party's cell signs at a time.
+def _ascend(signs: np.ndarray, max_sweeps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinate ascent on a (restarts, N, M) stack of +-1 float tables, in place.
 
     Holding the other parties fixed, the objective is linear in party k's
     cell signs with coefficients Re(I_c * prod_{j!=k} z_j); each update sets
     every cell to the coefficient's sign, which maximises the conditional
     objective exactly.  Cells whose coefficient is exactly zero keep their
-    previous sign (avoids limit cycles).  The per-sweep fidelity trace is
+    previous sign (avoids limit cycles).  A sweep updates the parties in
+    turn, each for every restart still ascending at once; a restart drops
+    out after its first unchanged sweep, or after ``max_sweeps``.
+
+    Returns the fidelities as a (sweeps + 1, restarts) array, row s holding
+    each restart's value after min(s, its sweeps) sweeps, and each
+    restart's trace length.  A changed z_k is recomputed as a (rows, 1, M)
+    product, which rounds as a lone ``row @ cell_int`` does; a 2-D
+    (rows, M) product takes another BLAS path and can differ in the last bit.
+    """
+    n, cells = signs.shape[1:]
+    if cells < MIN_GRID_CELLS:
+        raise ValueError(f"need at least {MIN_GRID_CELLS} cells")
+    cell_int = _cell_integrals(cells)
+    norm = 2.0 * math.pi ** (n - 1)
+    z = signs @ cell_int
+    fids = [_product_fidelity(z, norm)]
+    lengths = np.ones(len(signs), dtype=np.int64)
+    active = np.arange(len(signs))
+    live, zl = signs, z  # the tables and z of the active restarts
+    for _ in range(max_sweeps):
+        changed = np.zeros(len(active), dtype=bool)
+        for k in range(n):
+            others = np.prod(np.delete(zl, k, axis=1), axis=1)
+            coeff = (cell_int * others[:, None]).real
+            new = np.where(coeff > 0.0, 1.0, np.where(coeff < 0.0, -1.0, live[:, k]))
+            moved = (new != live[:, k]).any(axis=1)
+            if moved.any():
+                live[moved, k] = new[moved]
+                zl[moved, k] = (new[moved, None] @ cell_int)[:, 0]
+                changed |= moved
+        fid = fids[-1].copy()
+        fid[active] = _product_fidelity(zl, norm)
+        fids.append(fid)
+        lengths[active] += 1
+        signs[active[~changed]] = live[~changed]
+        active, live, zl = active[changed], live[changed], zl[changed]
+        if not len(active):
+            break
+    signs[active] = live
+    return np.array(fids), lengths
+
+
+def coordinate_ascent_b(init: ProductStrategyB, max_sweeps: int = MAX_SWEEPS) -> AscentResult:
+    """Ascend the task B fidelity over one party's cell signs at a time.
+
+    The one-start call of the kernel (:func:`_ascend`) that
+    :func:`optimize_strategy_b` runs on blocks of restarts together, where
+    ties keep the earliest restart.  The per-sweep fidelity trace is
     monotone non-decreasing; iteration stops at the first unchanged sweep.
     """
-    if init.cells < MIN_GRID_CELLS:
-        raise ValueError(f"need at least {MIN_GRID_CELLS} cells")
-    n = init.n_parties
-    cell_int = _cell_integrals(init.cells)
-    norm = 2.0 * math.pi ** (n - 1)
-    signs = init.signs.astype(np.float64).copy()
-    z = signs @ cell_int
-    trace = [float(_product_fidelity(z, norm))]
-    for _ in range(max_sweeps):
-        changed = False
-        for k in range(n):
-            others = np.prod(np.delete(z, k))
-            coeff = (cell_int * others).real
-            new = np.where(coeff > 0.0, 1.0, np.where(coeff < 0.0, -1.0, signs[k]))
-            if not np.array_equal(new, signs[k]):
-                signs[k] = new
-                z[k] = new @ cell_int
-                changed = True
-        trace.append(float(_product_fidelity(z, norm)))
-        if not changed:
-            break
-    return AscentResult(ProductStrategyB(signs.astype(np.int64)), tuple(trace))
+    signs = init.signs[None].astype(np.float64)
+    fids, _ = _ascend(signs, max_sweeps)
+    return AscentResult(ProductStrategyB(signs[0].astype(np.int64)), tuple(fids[:, 0].tolist()))
 
 
 def random_strategy_b(
@@ -527,14 +566,26 @@ def optimize_strategy_b(
     """Coordinate ascent from random sign starts; keeps the best fixed point.
 
     The objective is non-concave over the sign lattice, hence the restarts.
-    Ties keep the earliest restart, so results are reproducible for a fixed
-    generator state.
+    Each restart draws its start as :func:`random_strategy_b` does, one
+    ``rng.integers`` call after the other, and the restarts ascend together
+    (:func:`_ascend`) in blocks of ``ASCENT_BLOCK``, so memory stays bounded
+    for any number of restarts.  Ties keep the earliest restart, so results
+    are reproducible for a fixed generator state.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    runs = [
-        coordinate_ascent_b(random_strategy_b(n_parties, cells, rng)) for _ in range(restarts)
-    ]
-    finals = tuple(trace[-1] for _, trace in runs)
-    strategy, trace = runs[finals.index(max(finals))]
-    return OptimizeResult(strategy, trace[-1], trace, finals)
+    if n_parties < 1:
+        raise ValueError("need N >= 1 parties")
+    finals: list[float] = []
+    best_fid = -1.0
+    for first in range(0, restarts, ASCENT_BLOCK):
+        count = min(ASCENT_BLOCK, restarts - first)
+        draws = [rng.integers(0, 2, size=(n_parties, cells)) for _ in range(count)]
+        signs = 1.0 - 2.0 * np.stack(draws)
+        fids, lengths = _ascend(signs, MAX_SWEEPS)
+        i = int(np.argmax(fids[-1]))
+        if fids[-1, i] > best_fid:
+            best, best_fid, trace = signs[i], fids[-1, i], fids[: lengths[i], i].tolist()
+        finals += fids[-1].tolist()
+    strategy = ProductStrategyB(best.astype(np.int64))
+    return OptimizeResult(strategy, trace[-1], tuple(trace), tuple(finals))

@@ -52,7 +52,7 @@ def sample_a(n_parties: int, rng: np.random.Generator, size: int | None = None):
     return out[0] if size is None else out
 
 
-def _propose_b(n_parties: int, rng: np.random.Generator, count: int):
+def _propose_b(n_parties: int, rng: np.random.Generator, count: int, limit: int | None = None):
     """One rejection round: uniform proposals and their accepted subset.
 
     Draws ``count`` rows of N doubles, then ``count`` acceptance doubles.
@@ -60,7 +60,9 @@ def _propose_b(n_parties: int, rng: np.random.Generator, count: int):
     ``uniform(0, 2 pi)``, which computes 0 + 2 pi * u, and leaves the
     generator in the same state; :class:`qccp.experiment._Walk` replays
     exactly these words.  Proposals are scored in blocks of rows, each
-    kept when its acceptance double is below |cos| of its row sum.
+    kept when its acceptance double is below |cos| of its row sum.  Only
+    the first ``limit`` accepted rows are returned, when one is given; the
+    draws do not depend on it.
     """
     proposals = rng.random((count, n_parties))
     proposals *= 2.0 * math.pi
@@ -71,6 +73,8 @@ def _propose_b(n_parties: int, rng: np.random.Generator, count: int):
         np.cos(score, out=score)
         np.abs(score, out=score)
         np.less(uniforms[rows], score, out=keep[rows])
+    if limit is not None and np.count_nonzero(keep) > limit:
+        keep = keep[: np.flatnonzero(keep)[limit]]  # cut just before acceptance limit + 1
     return np.compress(keep, proposals, axis=0)
 
 
@@ -97,12 +101,12 @@ def sample_b(
     for _ in range(max_rounds):
         if got >= needed:
             break
-        accepted = _propose_b(n_parties, rng, proposals_per_round(needed - got))
+        accepted = _propose_b(n_parties, rng, proposals_per_round(needed - got), needed - got)
         chunks.append(accepted)
         got += len(accepted)
     if got < needed:
         raise RuntimeError(f"rejection sampler exhausted {max_rounds} rounds; generator broken?")
-    out = (chunks[1] if len(chunks) == 2 else np.concatenate(chunks))[:needed]  # one round: no copy
+    out = chunks[1] if len(chunks) == 2 else np.concatenate(chunks)  # one round: no copy
     return out[0] if size is None else out
 
 

@@ -232,3 +232,52 @@ def product_answers(signs: np.ndarray, task_b: bool, inputs: np.ndarray) -> np.n
         x, y = inputs % 2, np.where(inputs < 2, 1, -1)
     local = signs[np.arange(signs.shape[0])[None, :], x]
     return np.prod(local, axis=1) * np.prod(y, axis=1)
+
+
+def ascend_by_party_b(signs: np.ndarray, max_sweeps: int = 500):
+    """Coordinate ascent on one (N, M) float +-1 table, one party at a time.
+
+    Party k's cells are set to the sign of Re(I_c * prod_{j != k} z_j),
+    keeping their sign where that is exactly zero, with z_j = a_j . I over
+    the cell integrals I of e^{ix} on [0, pi).  A sweep updates every party
+    in turn; the ascent stops after the first sweep that changes nothing.
+    Returns the final table and the fidelity after each sweep, the start
+    included.
+    """
+    n, cells = signs.shape
+    edges = np.exp(1j * np.arange(cells + 1) * (math.pi / cells))
+    cell_int = (edges[1:] - edges[:-1]) / 1j
+    norm = 2.0 * math.pi ** (n - 1)
+    signs = signs.copy()
+    z = signs @ cell_int
+    trace = [float(np.abs(np.prod(z).real) / norm)]
+    for _ in range(max_sweeps):
+        changed = False
+        for k in range(n):
+            coeff = (cell_int * np.prod(np.delete(z, k))).real
+            new = np.where(coeff > 0.0, 1.0, np.where(coeff < 0.0, -1.0, signs[k]))
+            if not np.array_equal(new, signs[k]):
+                signs[k] = new
+                z[k] = new @ cell_int
+                changed = True
+        trace.append(float(np.abs(np.prod(z).real) / norm))
+        if not changed:
+            break
+    return signs, tuple(trace)
+
+
+def optimize_by_restart_b(n_parties: int, cells: int, restarts: int, rng: np.random.Generator):
+    """Restarted task B coordinate ascent, one restart after the other.
+
+    Each restart draws its start as ``1 - 2 * rng.integers(0, 2, (N, M))``
+    and ascends it with :func:`ascend_by_party_b`.  Returns the best final
+    table as int64, its fidelity, its trace and every restart's final
+    fidelity; ties keep the earliest restart.
+    """
+    runs = [
+        ascend_by_party_b((1 - 2 * rng.integers(0, 2, size=(n_parties, cells))).astype(float))
+        for _ in range(restarts)
+    ]
+    finals = tuple(trace[-1] for _, trace in runs)
+    signs, trace = runs[finals.index(max(finals))]
+    return signs.astype(np.int64), trace[-1], trace, finals

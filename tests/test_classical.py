@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,12 +28,22 @@ from qccp import (
     task_value,
 )
 
-from qccp.classical import _answers, _best_root, _last_sender_fidelities
+from qccp import classical
+from qccp.classical import (
+    ASCENT_BLOCK,
+    EXHAUST_MAX_PARTIES,
+    MAX_SWEEPS,
+    _answers,
+    _best_root,
+    _last_sender_fidelities,
+)
 from oracles import (
+    ascend_by_party_b,
     brute_force_by_combination_a,
     even_sum_tuples,
     fidelity_by_enumeration_a,
     fidelity_by_quadrature_b,
+    optimize_by_restart_b,
     product_answers,
     product_fidelities_by_parity_a,
     root_weights_a,
@@ -165,6 +176,17 @@ class TestFidelityExactA:
     def test_exhaustion_refuses_no_parties(self, n):
         with pytest.raises(ValueError, match="n_parties"):
             exhaust_product_strategies_a(n)
+
+    @pytest.mark.parametrize("n", [EXHAUST_MAX_PARTIES + 1, 40])
+    def test_exhaustion_refuses_parties_beyond_its_limit(self, n):
+        # refused before the 4^N tables are built: N=40 would need 10^25 bytes
+        with pytest.raises(ValueError, match=f"1..{EXHAUST_MAX_PARTIES}"):
+            exhaust_product_strategies_a(n)
+
+    def test_general_protocol_has_no_exact_evaluator(self):
+        protocol = brute_force_bound_a(CommTree.chain(2)).protocol
+        with pytest.raises(TypeError, match="only ProductStrategyA and ProductStrategyB"):
+            fidelity_exact(protocol)
 
 
 class TestFidelityExactB:
@@ -506,6 +528,59 @@ class TestCoordinateAscent:
     def test_rejects_coarse_grids(self):
         with pytest.raises(ValueError):
             coordinate_ascent_b(ProductStrategyB(np.ones((2, 4), dtype=int)))
+
+    @pytest.mark.parametrize("max_sweeps", [0, 1, 2, MAX_SWEEPS])
+    def test_one_start_matches_per_party_oracle(self, max_sweeps):
+        # about one N=3 start in five still changes in a third sweep at 9 cells,
+        # so a cap of 2 sweeps stops some ascents unconverged
+        rng = RandomStream(8, 0).generator()
+        capped = 0
+        for n, cells in [(1, 8), (2, 9), (3, 9), (3, 64), (5, 16)]:
+            for _ in range(10):
+                start = random_strategy_b(n, cells, rng)
+                strategy, trace = coordinate_ascent_b(start, max_sweeps)
+                signs, want = ascend_by_party_b(start.signs.astype(float), max_sweeps)
+                assert trace == want and len(trace) <= max_sweeps + 1
+                assert np.array_equal(strategy.signs, signs)
+                capped += len(ascend_by_party_b(start.signs.astype(float))[1]) > len(trace)
+        assert capped or max_sweeps == MAX_SWEEPS
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("cells", [8, 9, 64])
+    @pytest.mark.parametrize("restarts", [1, 3, 20, ASCENT_BLOCK + 1])
+    def test_restarts_match_per_restart_oracle(self, n, cells, restarts):
+        # every output and the generator state, as when each restart ascended alone
+        for seed in (0, 1, 2):
+            rng, oracle = RandomStream(seed, n).generator(), RandomStream(seed, n).generator()
+            result = optimize_strategy_b(n, cells, restarts, rng)
+            signs, fidelity, trace, finals = optimize_by_restart_b(n, cells, restarts, oracle)
+            assert result.trace == trace and result.restart_fidelities == finals
+            assert result.fidelity == fidelity and result.strategy.signs.tolist() == signs.tolist()
+            assert rng.bit_generator.state == oracle.bit_generator.state
+
+    def test_restarts_ascend_in_bounded_blocks(self):
+        sizes, ascend_block = [], classical._ascend
+
+        def ascend(signs, max_sweeps):
+            sizes.append(len(signs))
+            return ascend_block(signs, max_sweeps)
+
+        with mock.patch.object(classical, "_ascend", ascend):
+            result = optimize_strategy_b(2, 8, 3 * ASCENT_BLOCK + 5, RandomStream(9, 0).generator())
+        assert sizes == [ASCENT_BLOCK] * 3 + [5]
+        assert len(result.restart_fidelities) == 3 * ASCENT_BLOCK + 5
+
+    def test_ties_keep_the_earliest_restart(self):
+        # negating both tables leaves an N=2 fidelity unchanged, so restarts
+        # end on different tables of one value
+        restarts = 2 * ASCENT_BLOCK + 1
+        result = optimize_strategy_b(2, 8, restarts, RandomStream(10, 0).generator())
+        rng = RandomStream(10, 0).generator()
+        starts = [random_strategy_b(2, 8, rng).signs.astype(float) for _ in range(restarts)]
+        runs = [ascend_by_party_b(start) for start in starts]
+        tied = [signs for signs, trace in runs if trace[-1] == result.fidelity]
+        assert len({signs.tobytes() for signs in tied}) > 1
+        assert result.strategy.signs.tolist() == tied[0].tolist()
 
 
 class TestStrategyTypes:

@@ -168,6 +168,35 @@ class TestOptimize:
         digests = tuple(hashlib.sha256(f.read_bytes()).hexdigest() for f in (out, trace))
         assert digests == self.GOLDEN_SHA256
 
+    # the same digests for 9 cells (an odd sign-table size) and 65 restarts,
+    # recorded while every restart still ascended alone; at (3, 10) the best
+    # restart is 47, at (4, 11) restarts 0, 39 and 62 tie for the best
+    BLOCKS_SHA256 = {
+        (3, 11): (
+            "e4ab59b2a07acd4e902df861b01c861fd22c383c436aea3132af116248dec065",
+            "b137162a817ec6c9176cf750768e4898f47a02a9b280b85a49ab14d22a47a509",
+        ),
+        (3, 10): (
+            "458ac80f8e4d9c0a03438a1293e58b4c8f137d61739ed2c60d80eb91b3d80f76",
+            "5f2cc9621d10dcce845ceb73b7d33d076017d5441b09f31eb92f175144c28a11",
+        ),
+        (4, 11): (
+            "3192ed77268b740cf2ce1ed13b3901df98418e5c24912c11d12ba093fd8a0ba0",
+            "f6ea3d29d6fdeb6eba1ce056e486b7ec55bdef3da5fb5418b8890635c593e6f2",
+        ),
+    }
+
+    @pytest.mark.parametrize("parties, seed", sorted(BLOCKS_SHA256))
+    def test_golden_digests_across_blocks(self, capsys, tmp_path, parties, seed):
+        out, trace = tmp_path / "optimize.json", tmp_path / "trace.tsv"
+        code, _ = run_cli(
+            capsys, "optimize", "--parties", str(parties), "--grid", "9", "--restarts", "65",
+            "--seed", str(seed), "--out", str(out), "--trace-out", str(trace),
+        )
+        assert code == 0
+        digests = tuple(hashlib.sha256(f.read_bytes()).hexdigest() for f in (out, trace))
+        assert digests == self.BLOCKS_SHA256[parties, seed]
+
 
 class TestExperiment:
     ARGS = (

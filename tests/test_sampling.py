@@ -166,6 +166,16 @@ class TestSampleB:
             sample_b(5, RandomStream(seed, 0).generator(), size=10, max_rounds=1)
         assert sample_b(5, RandomStream(seed, 0).generator(), size=10, max_rounds=2).shape == (10, 5)
 
+    @pytest.mark.parametrize("seed, size", [(0, 10), (3, 10), (1, 100_000)])
+    def test_result_holds_no_rows_beyond_the_request(self, seed, size):
+        # the last round keeps only the acceptances still needed, so the
+        # result is no view into a longer array; seed 3 needs two rounds
+        rng, oracle = RandomStream(seed, 0).generator(), RandomStream(seed, 0).generator()
+        got = sample_b(5, rng, size=size)
+        assert got.base is None and got.shape == (size, 5)
+        assert got.tobytes() == sample_b_uniform(5, oracle, size).tobytes()
+        assert rng.bit_generator.state == oracle.bit_generator.state
+
     def test_empty_request_needs_no_round(self):
         rng = RandomStream(0, 0).generator()
         before = rng.bit_generator.state
