@@ -41,7 +41,7 @@ from .sampling import enumerate_a, sample_inputs
 from .tasks import Task, check_domain, row_blocks, task_value_batch
 
 BRUTE_FORCE_MAX_PARTIES = 4
-EXHAUST_MAX_PARTIES = 10  # exhaustion holds all 4^N strategies at once: ~0.7 GB peak at N=10
+EXHAUST_MAX_PARTIES = 10  # exhaustion holds all 4^N products at once: ~40 MB peak at N=10
 MIN_GRID_CELLS = 8  # fewest phase cells per party that coordinate ascent takes
 ASCENT_BLOCK = 32  # restarts that optimize_strategy_b ascends together
 MAX_SWEEPS = 500  # coordinate-ascent sweeps before a restart is stopped unconverged
@@ -350,14 +350,20 @@ def exhaust_product_strategies_a(n_parties: int) -> tuple[np.ndarray, int]:
     """Exact fidelity of every product strategy, indexed as above.
 
     Returns (fidelities over all 4^N indices, argmax index); ties resolve to
-    the lowest index.  The (4^N, N, 2) sign tables and the (4^N, N) z are
-    built in one piece, about 0.17 GB each at N=10 and four times that per
-    added party, so N is capped at ``EXHAUST_MAX_PARTIES``.
+    the lowest index.  Party k's z_k depends only on base-4 digit k of the
+    index, so the 4^N products are built a party at a time, each an outer
+    product of that party's four z with the products so far.  Products of
+    Gaussian integers are exact in any order.  The (4^N,) complex products
+    take 17 MB at N=10 and four times that per added party, so N is capped
+    at ``EXHAUST_MAX_PARTIES``.
     """
     if not 1 <= n_parties <= EXHAUST_MAX_PARTIES:
         raise ValueError(f"n_parties must be in 1..{EXHAUST_MAX_PARTIES}, got {n_parties}")
-    z = _sign_tables(np.arange(4**n_parties), (n_parties, 2)) @ _PHASE_A
-    fids = _product_fidelity(z, 2.0 ** (n_parties - 1))
+    digit_z = (_sign_tables(np.arange(4), (1, 2)) @ _PHASE_A)[:, 0]
+    z = np.ones(1, dtype=complex)
+    for _ in range(n_parties):  # the newest party's digit is the highest
+        z = np.multiply.outer(digit_z, z).ravel()
+    fids = _product_fidelity(z[:, None], 2.0 ** (n_parties - 1))
     return fids, int(np.argmax(fids))
 
 

@@ -203,7 +203,8 @@ def experimental_fidelity(eta: float, gamma: float) -> float:
 
 
 # raw words drawn at a time, unless one window needs more; bounds working memory
-CHUNK_WORDS = 1 << 13
+# (see _simulate for the choice)
+CHUNK_WORDS = 1 << 16
 _TWO_PI = 2.0 * math.pi
 
 
@@ -334,6 +335,14 @@ def _simulate(params: ExperimentParams, rng: np.random.Generator, max_windows: i
     what the remaining windows consume, so the generator ends exactly where
     the per-window calls leave it.  Truth, detection and answers are then
     computed once over the columns.
+
+    A chunk is CHUNK_WORDS words unless that bound is lower or one window
+    needs more.  Each chunk costs a fixed few dozen numpy calls, most of
+    them task B's rejection check.  At 1 << 16 words a chunk holds about
+    650 task B windows, and the preset B run takes about 75 chunks, not
+    the 600 of 1 << 13; 1 << 17 gained no more time and costs another
+    megabyte.  The words a window left unread move to the front of two
+    buffers, of words and of their doubles, reused from chunk to chunk.
     """
     bits = rng.bit_generator
     replay.check_replayable(bits)
@@ -351,26 +360,31 @@ def _simulate(params: ExperimentParams, rng: np.random.Generator, max_windows: i
     table = np.zeros((min(max_windows, 1024), 3 + (0 if task_a else n)))
     windows = 0
     input_words = []  # task A: the words sample_a drew, per chunk
-    words = np.empty(0, dtype=np.uint64)
-    p = need = 0
+    words, doubles = np.empty(0, dtype=np.uint64), np.empty(0)
+    held = p = need = 0  # words[:held] are drawn, words[:p] read
     while walk.targets and walk.windows:
         bound = min(per_accepted * walk.targets, per_window * walk.windows)
-        fresh = bits.random_raw(max(min(bound, CHUNK_WORDS), need) - (len(words) - p))
-        words = np.concatenate([words[p:], fresh])
-        d = replay.doubles(words)
-        p, need = walk.run(memoryview(d), 0, len(words))
+        size = max(min(bound, CHUNK_WORDS), need)
+        words, doubles = _keep(words, p, held, size), _keep(doubles, p, held, size)
+        kept, held = held - p, size
+        words[kept:size] = bits.random_raw(size - kept)
+        replay.doubles(words[kept:size], out=doubles[kept:size])
+        d = doubles[:size]
+        p, need = walk.run(memoryview(d), 0, size)
         if not task_a:
             p, need, first = walk.settle(d, p, need)
         added = len(walk.counts)
-        while windows + added > len(table):
-            table = np.concatenate([table, np.zeros_like(table)])
+        if windows + added > len(table):  # rows past ``windows`` are written before read
+            grown = np.empty((max(2 * len(table), windows + added), table.shape[1]))
+            grown[:windows] = table[:windows]
+            table = grown
         rows = table[windows : windows + added]
         det = np.array(walk.det_at, dtype=np.intp)
         rows[:, 0] = walk.counts
         rows[:, 1] = np.where(det >= 0, d[det], 0.0)
         rows[:, 2] = d[np.array(walk.ans_at, dtype=np.intp)]
         if task_a:
-            input_words.append(words[walk.sample_at])
+            input_words.append(words[walk.sample_at])  # a copy: the buffer is reused
         else:
             starts = np.array(walk.starts, dtype=np.intp) + n * first
             rows[:, 3:] = _TWO_PI * d[starts[:, None] + np.arange(n)]
@@ -389,6 +403,13 @@ def _simulate(params: ExperimentParams, rng: np.random.Generator, max_windows: i
     p_plus[detected] = plus_probability(params.task, inputs[detected], params.visibility)
     answer = np.where(u_ans < p_plus, 1, -1)
     return Runs(inputs, counts, detected, answer, truth)
+
+
+def _keep(buffer: np.ndarray, p: int, held: int, size: int) -> np.ndarray:
+    """buffer[p:held] moved to the front of ``buffer``, or of a new one if it holds under size."""
+    out = buffer if len(buffer) >= size else np.empty(size, dtype=buffer.dtype)
+    out[: held - p] = buffer[p:held]
+    return out
 
 
 def _digits(bits: np.random.BitGenerator, n: int, windows: int, words: np.ndarray) -> np.ndarray:

@@ -73,11 +73,25 @@ def exact_outcome_a(rows) -> np.ndarray:
     return coherence(Task.A, rows)
 
 
-def plus_probability(task: Task, rows, visibility: float) -> np.ndarray:
-    """P(+1) = (1 + V cos(sum phases))/2 for each row of a (rows, N) input array."""
+def _plus(c: np.ndarray, visibility: float) -> np.ndarray:
     if not 0.0 <= visibility <= 1.0:
         raise ValueError("visibility must lie in [0, 1]")
-    return (1.0 + visibility * coherence(task, rows)) / 2.0
+    return (1.0 + visibility * c) / 2.0
+
+
+def plus_probability(task: Task, rows, visibility: float) -> np.ndarray:
+    """P(+1) = (1 + V cos(sum phases))/2 for each row of a (rows, N) input array."""
+    return _plus(coherence(task, rows), visibility)
+
+
+def sample_answers(c: np.ndarray, visibility: float, rng: np.random.Generator) -> np.ndarray:
+    """One +-1 answer per row from its coherence c = cos(sum phases).
+
+    Draws +-1 with P(+-) = (1 +- V c)/2, one ``rng.random`` value per row:
+    :func:`run_quantum_batch` for a caller that already holds
+    :func:`qccp.tasks.coherence` of its inputs.
+    """
+    return np.where(rng.random(len(c)) < _plus(c, visibility), 1, -1)
 
 
 def run_quantum_batch(
@@ -92,8 +106,7 @@ def run_quantum_batch(
     value per row.  With V = 1 this is the ideal protocol (deterministic for
     task A); V = 0 is a fair coin.
     """
-    p_plus = plus_probability(task, inputs, visibility)
-    return np.where(rng.random(len(p_plus)) < p_plus, 1, -1)
+    return sample_answers(coherence(task, inputs), visibility, rng)
 
 
 def run_quantum(task: Task, inputs: Sequence, visibility: float, rng: np.random.Generator) -> int:

@@ -124,7 +124,14 @@ def task_value_batch(task: Task, inputs) -> np.ndarray:
     Raises PromiseViolationError for odd-sum task-A rows and CosineTieError
     when a task-B cosine is within TIE_EPS of zero.
     """
-    c = coherence(task, inputs)
+    return target_sign(coherence(task, inputs))
+
+
+def target_sign(c: np.ndarray) -> np.ndarray:
+    """sign(c) of each coherence c = cos(sum X) (:func:`coherence`): the target.
+
+    Raises CosineTieError when a |c| is within TIE_EPS of zero.
+    """
     if (np.abs(c) < TIE_EPS).any():
         raise CosineTieError(f"|cos(sum)| = {np.abs(c).min():.3e} below {TIE_EPS:.1e}")
     return np.where(c > 0.0, 1, -1)

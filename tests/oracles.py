@@ -281,3 +281,26 @@ def optimize_by_restart_b(n_parties: int, cells: int, restarts: int, rng: np.ran
     finals = tuple(trace[-1] for _, trace in runs)
     signs, trace = runs[finals.index(max(finals))]
     return signs.astype(np.int64), trace[-1], trace, finals
+
+
+def records_tsv_by_row(path, chunks, seed: int) -> None:
+    """A ``qccp-records-v1`` log written one row at a time, as first written.
+
+    ``chunks`` are (stream_id, runs) pairs.  Each row is one ``str.format``
+    of the window index, seed, stream id, the six per-window columns as
+    Python ints (flags as 0/1) and the N inputs; ``"{}"`` formats a float
+    as ``repr`` does.
+    """
+    n = chunks[0][1].inputs.shape[1]
+    names = ["trigger_count", "accepted", "detected", "guessed", "answer", "truth"]
+    header = ["window", "seed", "stream", *names] + [f"input_{k + 1}" for k in range(n)]
+    first = 0
+    with open(path, "w") as fh:
+        fh.write("# schema: qccp-records-v1\n" + "\t".join(header) + "\n")
+        for stream_id, runs in chunks:
+            columns = [getattr(runs, name).astype(np.int64).tolist() for name in names]
+            columns += [column.tolist() for column in runs.inputs.T]
+            row = "\t".join(["{}", str(seed), str(stream_id)] + ["{}"] * len(columns)) + "\n"
+            for i, values in enumerate(zip(*columns), first):
+                fh.write(row.format(i, *values))
+            first += len(runs)

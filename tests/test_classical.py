@@ -1,3 +1,4 @@
+import hashlib
 import math
 from unittest import mock
 
@@ -171,6 +172,27 @@ class TestFidelityExactA:
         want = product_fidelities_by_parity_a(signs)
         assert fids.dtype == want.dtype and fids.tobytes() == want.tobytes()
         assert best == int(np.argmax(want))
+
+    # sha256 of each exhaustion's fidelity bytes then its int64 argmax,
+    # recorded when the sign tables were cast to complex in one piece
+    EXHAUSTION_SHA256 = {
+        1: "100e0f922c6f007fcf03b6f57399f7590922c1fae21e48c449e7494f7455a405",
+        2: "6ef648080d501091503b8687e4b4abda2f055f951fde574a884e91b86ac21592",
+        3: "f466fdccd94ef26214d3e36508b92ffec129fb7140462c609500d416a067300e",
+        4: "00aec45da8a328964e64186f5022080f0eb2ec47914ccad2cd8b6459844496ad",
+        5: "caa4b854ba4948ec4bdefae702101e7cbcefae2e6b348b76b51eaa528846e0ec",
+        6: "db8b49e96078e0fa17ce44d8c7422e3af3d86d7bcea8f8f757e2cf068da04373",
+        7: "cab42a9ee80bdf2af15b9736f44660d602367e99a795561b0cf492bb4411832a",
+        8: "0251b867498bc93171524c06e8f8be77d9aa3c66bdc6f66156a9873e411106b1",
+        9: "1bf4418033d56b852a49efb884ea827c7b3cd2616a24fa31a9725d72e09825bd",
+        10: "e1c9fee7cdd3559e1e6fa9bd3f916f6572a4872d0f2ab8b46b5a341980ad0f56",
+    }
+
+    @pytest.mark.parametrize("n", sorted(EXHAUSTION_SHA256))
+    def test_exhaustion_digests(self, n):
+        fids, best = exhaust_product_strategies_a(n)
+        digest = hashlib.sha256(fids.tobytes() + np.int64(best).tobytes()).hexdigest()
+        assert digest == self.EXHAUSTION_SHA256[n]
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_exhaustion_refuses_no_parties(self, n):

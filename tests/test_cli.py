@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from qccp import (
     PRESETS, Runs, Task, classical_bound, cli, optimize_window, quantum, success_stats,
     visibility_from_gamma,
@@ -358,6 +359,130 @@ class TestExperiment:
     def test_task_is_required(self, capsys):
         assert main(["experiment", "--n-target", "10"]) == 2
         assert "--task is required" in capsys.readouterr().err
+
+
+def hand_built_runs(rows: int, n: int, floats: bool, rng, wide: bool = False) -> Runs:
+    """A window log with every column's edge values, not drawn by the engine."""
+    edges = [0.0, 5e-324, 1e-05, 1e-04, np.nextafter(2 * math.pi, 0.0)]
+    if floats:
+        inputs = rng.uniform(0.0, 2 * math.pi, (rows, n))
+        inputs.flat[: min(len(edges), rows * n)] = edges[: rows * n]
+    else:
+        inputs = rng.integers(0, 4, (rows, n))
+    counts = rng.integers(0, 4, rows)
+    if wide:  # a range wider than the block
+        counts[::2] = rng.integers(0, 10**12, len(counts[::2]))
+    detected = (counts == 1) & (rng.random(rows) < 0.5)
+    signs = 1 - 2 * rng.integers(0, 2, (2, rows))
+    return Runs(inputs, counts, detected, signs[0], signs[1])
+
+
+class TestRecordsWriter:
+    # sha256 of (report, records TSV, histogram TSV) of `experiment --seed 11
+    # --out`, recorded with the row-by-row writer (tests/oracles.py) and the
+    # 1 << 13-word engine chunks: the preset sizes over one and three streams,
+    # and a window of mean 12 triggers (numpy's PTRS sampler, counts to 28)
+    CASES = {
+        "streams-1": ("--streams", "1"),
+        "streams-3": ("--streams", "3"),
+        "mu-12": ("--window", "0.0024", "--n-target", "1", "--block-size", "1"),
+    }
+    GOLDEN_SHA256 = {
+        ("A", "streams-1"): (
+            "9beaf7bcbc081c3b46afd762115e7ef101c4110314087a8d0816df6e7dcec7a2",
+            "de8c89277081ce29b8dd026dbd9f905aaadb595e9e2455ab6c347e63deb94b09",
+            "a194330ece3b1851a04ad830722b01da400392529cdbcaa96f01ae083e4cb94f",
+        ),
+        ("A", "streams-3"): (
+            "3eca5c1910efb29c82f7b1ea770c10382964b5b8a6adc099b6e9043796ad3cf2",
+            "d0fcafc817564d9d73244782ded5c1da0356f589eb078be5d41121d7473ac98e",
+            "c915da9bd141ec8365c0d81e2ddfe0ce00af6e15bb6f5bd48861d7e9d66087ce",
+        ),
+        ("B", "streams-1"): (
+            "47cf982a3e0f7e6e3efab34a0b34cb94642e41e65896eb928edf7d028ac36a0c",
+            "07f06f02eea0233d0b68501d97a181f1dd1f6bead3c9d1971b8cfefd3b378066",
+            "cf054983b370373fb9f1d99a4f976814347548bf5a8311ee897ad0ae4865c594",
+        ),
+        ("B", "streams-3"): (
+            "3b34f8b78812f163462a0260591887382d52d0f39e161c2b28013e6a934bfb07",
+            "539c8b5b8e3169894e4a10ec2ffb7f23ea1e0ddc3ea49b6f4047feb9f1c67752",
+            "c98cf9a055a30166ea0929bc5e3f00f2c3e8f6cc60610ab50d95747393535692",
+        ),
+        ("A", "mu-12"): (
+            "d6682152bef5b0e66f36eae947d499ce9d0b5a3a21acf51f475b8064e4ec5db5",
+            "ce381bee9459316fadabcec61a544d152d6336ec45ccb97b09f535d350a5064a",
+            "8bf4f6abba7d6c245fb589266d392607b5fa805b919decc3986bd6bd70f0b773",
+        ),
+        ("B", "mu-12"): (
+            "5dc07915dc9c519da92d35bd5c1b46c50089a586b6a914f82d4f7f4be34a525b",
+            "f78b87f86274a2cc43be99069ea44999f24a32b3a504ff30cfd94f8d242b75bb",
+            "fae0a899fdf0e41a36a336d6af0223bea2deefbb793b23b01f9a72305839b74b",
+        ),
+    }
+
+    @pytest.mark.parametrize("task, case", sorted(GOLDEN_SHA256))
+    def test_golden_digests(self, capsys, tmp_path, task, case):
+        out = tmp_path / "run.json"
+        argv = ["experiment", "--task", task, "--seed", "11", *self.CASES[case], "--out", str(out)]
+        assert run_cli(capsys, *argv)[0] == 0
+        files = [out, tmp_path / "run.json.records.tsv", tmp_path / "run.json.histogram.tsv"]
+        digests = tuple(hashlib.sha256(f.read_bytes()).hexdigest() for f in files)
+        assert digests == self.GOLDEN_SHA256[task, case]
+
+    @pytest.mark.parametrize("n", [1, 8])
+    @pytest.mark.parametrize("floats", [False, True])
+    @pytest.mark.parametrize("seed", [0, 2**40])
+    def test_bytes_equal_the_row_writer(self, tmp_path, n, floats, seed):
+        rng = np.random.default_rng([n, floats, seed])
+        block = cli.RECORDS_BLOCK_ROWS
+        chunks = [
+            (0, hand_built_runs(block + 5, n, floats, rng)),  # past one block
+            (1, hand_built_runs(3, n, floats, rng)),  # short of one block
+            (2, hand_built_runs(0, n, floats, rng)),  # no windows
+            (3, hand_built_runs(7, n, floats, rng, wide=True)),
+        ]
+        cli.write_records_tsv(tmp_path / "columns.tsv", chunks, seed)
+        oracles.records_tsv_by_row(tmp_path / "rows.tsv", chunks, seed)
+        assert (tmp_path / "columns.tsv").read_bytes() == (tmp_path / "rows.tsv").read_bytes()
+
+    def test_zero_windows_write_the_header_only(self, tmp_path):
+        chunks = [(0, hand_built_runs(0, 5, True, np.random.default_rng(0)))]
+        cli.write_records_tsv(tmp_path / "columns.tsv", chunks, 7)
+        oracles.records_tsv_by_row(tmp_path / "rows.tsv", chunks, 7)
+        text = (tmp_path / "columns.tsv").read_text()
+        assert text == (tmp_path / "rows.tsv").read_text()
+        assert len(text.splitlines()) == 2
+
+
+def test_reused_parser_answers_as_a_fresh_one(capsys, tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("parties = 3\ntree = star\n")
+    calls = [
+        ["bounds", "--parties", "2"],
+        ["optimize", "--parties", "2", "--grid", "8", "--restarts", "2", "--seed", "3"],
+        ["certify", "--tree", "chian"],
+        ["certify", "--config", str(config)],
+        ["certify", "--parties", "2"],
+    ]
+
+    def outcomes(fresh: bool):
+        seen = []
+        for argv in calls:
+            if fresh:
+                cli.build_parser.cache_clear()
+            try:
+                status = main(argv)
+            except SystemExit as exc:
+                status = exc.code
+            captured = capsys.readouterr()
+            seen.append((status, captured.out, captured.err))
+        return seen
+
+    reused = outcomes(fresh=False)
+    assert outcomes(fresh=True) == reused
+    assert [status for status, _, _ in reused] == [0, 0, 2, 0, 0]
+    assert "invalid choice: 'chian'" in reused[2][2]
+    assert cli.build_parser() is cli.build_parser()
 
 
 def experiment_params(task, *flags):
