@@ -38,7 +38,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .sampling import enumerate_a, sample_inputs
-from .tasks import Task, check_domain, row_blocks, task_value_batch
+from .tasks import Task, check_domain, norm_b, row_blocks, task_value_batch
 
 BRUTE_FORCE_MAX_PARTIES = 4
 EXHAUST_MAX_PARTIES = 10  # exhaustion holds all 4^N products at once: ~40 MB peak at N=10
@@ -281,7 +281,7 @@ def fidelity_exact(strategy: ProductStrategyA | ProductStrategyB) -> float:
     n = strategy.n_parties
     if isinstance(strategy, ProductStrategyB):
         z = strategy.signs @ _cell_integrals(strategy.cells)
-        return float(_product_fidelity(z, 2.0 * math.pi ** (n - 1)))
+        return float(_product_fidelity(z, norm_b(n)))
     return float(_product_fidelity(strategy.signs @ _PHASE_A, 2.0 ** (n - 1)))
 
 
@@ -509,7 +509,7 @@ def _ascend(signs: np.ndarray, max_sweeps: int) -> tuple[np.ndarray, np.ndarray]
     if cells < MIN_GRID_CELLS:
         raise ValueError(f"need at least {MIN_GRID_CELLS} cells")
     cell_int = _cell_integrals(cells)
-    norm = 2.0 * math.pi ** (n - 1)
+    norm = norm_b(n)
     z = signs @ cell_int
     fids = [_product_fidelity(z, norm)]
     lengths = np.ones(len(signs), dtype=np.int64)

@@ -467,14 +467,12 @@ def _reproduction_checks(seed: int) -> list[Check]:
         stats = success_stats(runs)
         bound = classical_bound(params.task, params.n_parties)
         viol = sigma_violation(stats, bound.success)
-        ok = (
-            abs(stats.p_hat - p_ref) < 3 * sigma_ref
-            and abs(stats.sigma - sigma_ref) < 0.1 * sigma_ref
-            and viol_lo <= viol <= viol_hi
-        )
-        add(f"experiment-{label}-p-hat", stats.p_hat, p_ref, "within 3 sigma", abs(stats.p_hat - p_ref) < 3 * sigma_ref)
-        add(f"experiment-{label}-sigma", stats.sigma, sigma_ref, "within 10%", abs(stats.sigma - sigma_ref) < 0.1 * sigma_ref)
-        add(f"experiment-{label}-violation", viol, (viol_lo + viol_hi) / 2, f"in [{viol_lo}, {viol_hi}]", ok)
+        p_ok = abs(stats.p_hat - p_ref) < 3 * sigma_ref
+        sigma_ok = abs(stats.sigma - sigma_ref) < 0.1 * sigma_ref
+        viol_ok = p_ok and sigma_ok and viol_lo <= viol <= viol_hi
+        add(f"experiment-{label}-p-hat", stats.p_hat, p_ref, "within 3 sigma", p_ok)
+        add(f"experiment-{label}-sigma", stats.sigma, sigma_ref, "within 10%", sigma_ok)
+        add(f"experiment-{label}-violation", viol, (viol_lo + viol_hi) / 2, f"in [{viol_lo}, {viol_hi}]", viol_ok)
 
     # window optimisation
     choice = optimize_window(5000.0)

@@ -212,10 +212,11 @@ class _Walk:
     """Window boundaries in a chunk of generator words, found window by window.
 
     Per window it reads only the few doubles that decide where the window
-    ends: the trigger count's draws, then the detection and answer draws.
-    The input draws are skipped over: task A's are a fixed number of words,
-    task B's one rejection round, assumed to accept until :meth:`settle`
-    finds otherwise.  Positions are logged per chunk.
+    ends: the trigger count's draws.  The input draws are skipped over:
+    task A's are a fixed number of words, task B's one rejection round,
+    assumed to accept until :meth:`settle` finds otherwise.  Each window is
+    logged by its trigger count and its end, the word after its answer
+    draw; task B also logs where its last round starts.
     """
 
     def __init__(self, params: ExperimentParams, max_windows: int, spare: int):
@@ -230,29 +231,22 @@ class _Walk:
         self.reset()
 
     def reset(self) -> None:
-        self.starts: list[int] = []  # first input word (task B: of the last round)
         self.counts: list[int] = []
-        self.det_at: list[int] = []  # detection draw, -1 unless accepted
-        self.ans_at: list[int] = []
-        self.sample_at: list[int] = []  # task A: every input word
+        self.ends: list[int] = []
+        self.starts: list[int] = []  # task B: first word of the last round
 
     def rewind(self, i: int) -> None:
         """Forget windows i.. of this chunk."""
         self.targets += self.counts[i:].count(1)
         self.windows += len(self.counts) - i
-        for log in (self.starts, self.counts, self.det_at, self.ans_at):
+        for log in (self.counts, self.ends, self.starts):
             del log[i:]
 
-    def run(self, d, p: int, end: int) -> tuple[int, int]:
-        """Walk whole windows from word p of the doubles d[:end].
-
-        Returns the position after the last whole window and the number of
-        words the next window is known to need from there (0 once the run
-        is over: targets collected or windows spent).
-        """
+    def run(self, d, p: int, end: int) -> int:
+        """Walk whole windows from word p of the doubles d[:end]; returns where they end."""
         task_a, n, mu = self.task_a, self.n, self.mu
         exp_neg_mu = math.exp(-mu)
-        starts, counts, det_at, ans_at = self.starts, self.counts, self.det_at, self.ans_at
+        counts, ends, starts = self.counts, self.ends, self.starts
         while self.targets and self.windows:
             start = p
             if task_a:
@@ -261,34 +255,27 @@ class _Walk:
             else:
                 p += self.round_words
             if p > end:
-                return start, p - start + (mu > 0.0) + 1
-            k, p = replay.poisson(d, p, end, mu, exp_neg_mu)
-            if k < 0:
-                return start, end - start + 2
-            if p + (k == 1) >= end:
-                return start, p - start + (k == 1) + 1
+                return start
+            k, p = replay.poisson(d, p, end, mu, exp_neg_mu)  # (-1, end) if d runs out
+            p += (k == 1) + 1  # the detection draw if accepted, then the answer draw
+            if p > end:
+                return start
             if task_a:
-                self.sample_at += range(start, start + ((take + 1) >> 1))
                 self.spare = take & 1
-            starts.append(start)
-            counts.append(k)
-            if k == 1:
-                det_at.append(p)
-                p += 1
-                self.targets -= 1
             else:
-                det_at.append(-1)
-            ans_at.append(p)
-            p += 1
+                starts.append(start)
+            counts.append(k)
+            ends.append(p)
+            self.targets -= k == 1
             self.windows -= 1
-        return p, 0
+        return p
 
-    def settle(self, d: np.ndarray, p: int, need: int) -> tuple[int, int, np.ndarray]:
+    def settle(self, d: np.ndarray, p: int) -> tuple[int, np.ndarray]:
         """Check task B's rounds; re-walk from each that rejected every proposal.
 
         The re-walk starts one round on, so that window takes another round.
-        Returns the final (position, need) of :meth:`run` and, per window,
-        the index of the accepted proposal in its last round.
+        Returns the final position of :meth:`run` and, per window, the
+        index of the accepted proposal in its last round.
         """
         checked, first = 0, []
         while True:
@@ -296,12 +283,12 @@ class _Walk:
             got = _first_accepted(d, starts, self.n, self.proposals)
             rejected = np.flatnonzero(got < 0)
             if not len(rejected):
-                return p, need, np.concatenate(first + [got])
+                return p, np.concatenate(first + [got])
             first.append(got[: rejected[0]])
             checked += int(rejected[0])
             restart = self.starts[checked] + self.round_words
             self.rewind(checked)
-            p, need = self.run(memoryview(d), restart, len(d))
+            p = self.run(memoryview(d), restart, len(d))
 
 
 def _first_accepted(d: np.ndarray, starts: np.ndarray, n: int, proposals: int) -> np.ndarray:
@@ -331,65 +318,77 @@ def _simulate(params: ExperimentParams, rng: np.random.Generator, max_windows: i
     """Windows until n_target are accepted or max_windows have run.
 
     Replays the per-window draws of :func:`simulate_run` from raw words (see
-    :mod:`qccp.replay`), drawn in chunks that never exceed a lower bound on
-    what the remaining windows consume, so the generator ends exactly where
-    the per-window calls leave it.  Truth, detection and answers are then
+    :mod:`qccp.replay`).  The words are drawn in chunks, each prepended with
+    the words the last one left unread.  A chunk may hold more words than
+    the run reads, so the generator state is saved before each draw; after
+    the last chunk it is restored, and only the words that chunk's windows
+    read are drawn again, so the generator ends exactly where the
+    per-window calls leave it.  Truth, detection and answers are then
     computed once over the columns.
 
-    A chunk is CHUNK_WORDS words unless that bound is lower or one window
-    needs more.  Each chunk costs a fixed few dozen numpy calls, most of
-    them task B's rejection check.  At 1 << 16 words a chunk holds about
-    650 task B windows, and the preset B run takes about 75 chunks, not
-    the 600 of 1 << 13; 1 << 17 gained no more time and costs another
-    megabyte.  The words a window left unread move to the front of two
-    buffers, of words and of their doubles, reused from chunk to chunk.
+    A draw is CHUNK_WORDS words, or the fewest the remaining windows can
+    draw if that is less, and at least twice the unread words, so a window
+    that did not fit soon does.  Each chunk costs a fixed few dozen numpy
+    calls, most of them task B's rejection check.  At 1 << 16 words a chunk
+    holds about 650 task B windows, and the preset B run takes about 75
+    chunks, not the 600 of 1 << 13; 1 << 17 gained no more time and costs
+    another megabyte.
     """
     bits = rng.bit_generator
     replay.check_replayable(bits)
     task_a = params.task is Task.A
     n = params.n_parties
-    spare = bits.state["has_uint32"] if task_a else 0
-    walk = _Walk(params, max_windows, spare)
-    # the fewest words one window draws, and one accepted window
-    fewest = n // 2 if task_a else walk.round_words
-    per_window = fewest + (walk.mu > 0.0) + 1
-    per_accepted = fewest + 4
+    walk = _Walk(params, max_windows, bits.state["has_uint32"] if task_a else 0)
+    # the fewest words a window draws: inputs, a trigger draw unless mu = 0, the answer
+    fewest = (n // 2 if task_a else walk.round_words) + (walk.mu > 0.0) + 1
 
     # one float64 row per window: trigger count, detection and answer draws,
     # then task B's phases; one block that doubles, not an array per chunk
     table = np.zeros((min(max_windows, 1024), 3 + (0 if task_a else n)))
     windows = 0
     input_words = []  # task A: the words sample_a drew, per chunk
-    words, doubles = np.empty(0, dtype=np.uint64), np.empty(0)
-    held = p = need = 0  # words[:held] are drawn, words[:p] read
+    tail = np.empty(0, dtype=np.uint64)  # the words the last chunk left unread
     while walk.targets and walk.windows:
-        bound = min(per_accepted * walk.targets, per_window * walk.windows)
-        size = max(min(bound, CHUNK_WORDS), need)
-        words, doubles = _keep(words, p, held, size), _keep(doubles, p, held, size)
-        kept, held = held - p, size
-        words[kept:size] = bits.random_raw(size - kept)
-        replay.doubles(words[kept:size], out=doubles[kept:size])
-        d = doubles[:size]
-        p, need = walk.run(memoryview(d), 0, size)
+        size = max(min(fewest * walk.windows, CHUNK_WORDS), 2 * len(tail))
+        saved, kept = bits.state, len(tail)
+        words = np.concatenate([tail, bits.random_raw(size)])
+        d = replay.doubles(words)
+        spare = walk.spare
+        p = walk.run(memoryview(d), 0, len(d))
         if not task_a:
-            p, need, first = walk.settle(d, p, need)
+            p, first = walk.settle(d, p)
+        tail = words[p:].copy()  # a copy, so that the del below frees the chunk
         added = len(walk.counts)
+        if not added:
+            continue
         if windows + added > len(table):  # rows past ``windows`` are written before read
             grown = np.empty((max(2 * len(table), windows + added), table.shape[1]))
             grown[:windows] = table[:windows]
             table = grown
         rows = table[windows : windows + added]
-        det = np.array(walk.det_at, dtype=np.intp)
+        ends = np.array(walk.ends, dtype=np.intp)
         rows[:, 0] = walk.counts
-        rows[:, 1] = np.where(det >= 0, d[det], 0.0)
-        rows[:, 2] = d[np.array(walk.ans_at, dtype=np.intp)]
+        # the detection draw precedes the answer draw; a window not accepted
+        # has none, and its column, which nothing reads, repeats the answer draw
+        rows[:, 1] = d[ends - 1 - (rows[:, 0] == 1)]
+        rows[:, 2] = d[ends - 1]
         if task_a:
-            input_words.append(words[walk.sample_at])  # a copy: the buffer is reused
+            # a window's input words come first, from the previous window's end;
+            # the first i windows of the chunk draw ceil((n i - spare) / 2), so
+            # the count per window alternates for odd n and is fixed for even n
+            starts = np.concatenate(([0], ends[:-1]))
+            drawn = (n * np.arange(added + 1) - spare + 1) >> 1
+            at = np.repeat(starts - drawn[:-1], np.diff(drawn)) + np.arange(drawn[-1])
+            input_words.append(words[at])
         else:
             starts = np.array(walk.starts, dtype=np.intp) + n * first
             rows[:, 3:] = _TWO_PI * d[starts[:, None] + np.arange(n)]
         windows += added
         walk.reset()
+        del words, d  # before the next draw: the heap then holds one chunk, not two
+    # give back the over-draw: the run ended on a window the last chunk completed, past kept
+    bits.state = saved
+    bits.random_raw(p - kept, output=False)
 
     counts = table[:windows, 0].astype(np.int64)
     u_det, u_ans = table[:windows, 1], table[:windows, 2]
@@ -403,13 +402,6 @@ def _simulate(params: ExperimentParams, rng: np.random.Generator, max_windows: i
     p_plus[detected] = plus_probability(params.task, inputs[detected], params.visibility)
     answer = np.where(u_ans < p_plus, 1, -1)
     return Runs(inputs, counts, detected, answer, truth)
-
-
-def _keep(buffer: np.ndarray, p: int, held: int, size: int) -> np.ndarray:
-    """buffer[p:held] moved to the front of ``buffer``, or of a new one if it holds under size."""
-    out = buffer if len(buffer) >= size else np.empty(size, dtype=buffer.dtype)
-    out[: held - p] = buffer[p:held]
-    return out
 
 
 def _digits(bits: np.random.BitGenerator, n: int, windows: int, words: np.ndarray) -> np.ndarray:
@@ -441,7 +433,7 @@ def simulate_run(params: ExperimentParams, rng: np.random.Generator) -> Runs:
 
     Draw order, fixed for seeding:
 
-    1. the input tuple, one :func:`~qccp.sampling.sample_inputs` call;
+    1. the input tuple, one :func:`~qccp.sampling.sample_inputs` ``(..., size=1)`` call;
     2. the trigger count, one ``rng.poisson(rate * window)``;
     3. if exactly one trigger arrived (accepted), one ``rng.random()``,
        detected when below eta;

@@ -29,9 +29,9 @@ def check_replayable(bits: np.random.BitGenerator) -> None:
         )
 
 
-def doubles(words: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``random()`` of each word: its top 53 bits over 2**53, into ``out`` if given."""
-    return np.multiply(words >> np.uint64(11), 2.0**-53, out=out)
+def doubles(words: np.ndarray) -> np.ndarray:
+    """``random()`` of each word: its top 53 bits over 2**53."""
+    return np.multiply(words >> np.uint64(11), 2.0**-53)
 
 
 def halves(words: np.ndarray) -> np.ndarray:

@@ -33,23 +33,20 @@ class RandomStream:
         return np.random.default_rng(seq)
 
 
-def sample_a(n_parties: int, rng: np.random.Generator, size: int | None = None):
-    """Draw uniform even-sum quaternary tuples.
+def sample_a(n_parties: int, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Draw ``size`` uniform even-sum quaternary tuples, as a (size, N) int array.
 
     The first N-1 digits are i.i.d. uniform on {0..3}; the last digit is
     drawn uniformly from the two values that fix the parity, which makes the
     distribution exactly uniform over the 4^N/2 admissible tuples.
-
-    Returns a length-N int array, or a (size, N) array when ``size`` is given.
     """
     if n_parties < 1:
         raise ValueError("n_parties must be >= 1")
-    count = 1 if size is None else int(size)
-    out = np.empty((count, n_parties), dtype=np.int64)
-    out[:, : n_parties - 1] = rng.integers(0, 4, size=(count, n_parties - 1))
+    out = np.empty((size, n_parties), dtype=np.int64)
+    out[:, : n_parties - 1] = rng.integers(0, 4, size=(size, n_parties - 1))
     parity = row_sum(out[:, : n_parties - 1]) % 2
-    out[:, n_parties - 1] = parity + 2 * rng.integers(0, 2, size=count)
-    return out[0] if size is None else out
+    out[:, n_parties - 1] = parity + 2 * rng.integers(0, 2, size=size)
+    return out
 
 
 def _propose_b(n_parties: int, rng: np.random.Generator, count: int, limit: int | None = None):
@@ -81,10 +78,10 @@ def _propose_b(n_parties: int, rng: np.random.Generator, count: int, limit: int 
 def sample_b(
     n_parties: int,
     rng: np.random.Generator,
-    size: int | None = None,
+    size: int,
     max_rounds: int = DEFAULT_MAX_REJECTION_ROUNDS,
-):
-    """Draw tuples from the task B density by rejection sampling.
+) -> np.ndarray:
+    """Draw ``size`` tuples from the task B density by rejection sampling, as a (size, N) array.
 
     Proposals are uniform on [0, 2*pi)^N and accepted with probability
     |cos(sum X)|, so the mean acceptance rate is 2/pi.  Each round is one
@@ -95,19 +92,17 @@ def sample_b(
     """
     if n_parties < 1:
         raise ValueError("n_parties must be >= 1")
-    needed = 1 if size is None else int(size)
     chunks = [np.empty((0, n_parties))]  # size=0 draws nothing and still concatenates
     got = 0
     for _ in range(max_rounds):
-        if got >= needed:
+        if got >= size:
             break
-        accepted = _propose_b(n_parties, rng, proposals_per_round(needed - got), needed - got)
+        accepted = _propose_b(n_parties, rng, proposals_per_round(size - got), size - got)
         chunks.append(accepted)
         got += len(accepted)
-    if got < needed:
+    if got < size:
         raise RuntimeError(f"rejection sampler exhausted {max_rounds} rounds; generator broken?")
-    out = chunks[1] if len(chunks) == 2 else np.concatenate(chunks)  # one round: no copy
-    return out[0] if size is None else out
+    return chunks[1] if len(chunks) == 2 else np.concatenate(chunks)  # one round: no copy
 
 
 def proposals_per_round(needed: int) -> int:
@@ -129,10 +124,8 @@ def enumerate_a(n_parties: int) -> tuple[np.ndarray, np.ndarray]:
     return tuples, np.full(len(tuples), 2.0 / 4.0**n_parties)
 
 
-def sample_inputs(
-    task: Task, n_parties: int, rng: np.random.Generator, size: int | None = None
-):
-    """Task-dispatching sampler used by Monte Carlo and experiment code."""
+def sample_inputs(task: Task, n_parties: int, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Task-dispatching sampler used by Monte Carlo and experiment code: (size, N) rows."""
     if task is Task.A:
         return sample_a(n_parties, rng, size=size)
     return sample_b(n_parties, rng, size=size)

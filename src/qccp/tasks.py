@@ -177,6 +177,17 @@ def density_b(rows) -> np.ndarray:
     return np.abs(c) / (4.0 * (2.0 * math.pi) ** (np.shape(rows)[1] - 1))
 
 
+def norm_b(n_parties: int) -> float:
+    """2 pi^(N-1), the integral of |cos(sum x)| over [0, pi)^N, which normalises task B.
+
+    It overflows a float from N = 621 on, and such N are refused with ``ValueError``.
+    """
+    limit = 1 + int(math.log(np.finfo(float).max / 2.0, math.pi))
+    if n_parties > limit:
+        raise ValueError(f"task B needs N <= {limit} parties: 2 pi^(N-1) overflows a float")
+    return 2.0 * math.pi ** (n_parties - 1)
+
+
 def reduced_density(task: Task, x) -> np.ndarray:
     """Density of each row of reduced coordinates; p(X) = 2^-N * p'(x).
 
@@ -187,4 +198,4 @@ def reduced_density(task: Task, x) -> np.ndarray:
     n = rows.shape[1]
     if task is Task.A:
         return np.where(rows.sum(axis=1) % 2, 0.0, 2.0 ** (-(n - 1)))
-    return np.abs(coherence(task, rows)) / (2.0 * math.pi ** (n - 1))
+    return np.abs(coherence(task, rows)) / norm_b(n)

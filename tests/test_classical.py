@@ -245,6 +245,13 @@ class TestFidelityExactB:
             for _ in range(50):
                 assert fidelity_exact(random_strategy_b(n, 32, rng)) <= bound + 1e-12
 
+    def test_parties_up_to_the_float_limit(self):
+        # 2 pi^(N-1) is finite at N = 620 and overflows from 621 on
+        assert 0.0 < fidelity_exact(half_split_strategy_b(620, 8)) < math.inf
+        for n in (621, 700):
+            with pytest.raises(ValueError, match="N <= 620"):
+                fidelity_exact(half_split_strategy_b(n, 8))
+
 
 class TestFidelityMC:
     def test_perfect_strategy_estimates_one_exactly(self):

@@ -152,6 +152,14 @@ class TestOptimize:
         assert lines[0] == "# schema: qccp-trace-v1"
         assert len(lines) == 2 + len(trace)
 
+    def test_parties_up_to_the_float_limit(self, capsys):
+        code, out = run_cli(capsys, "optimize", "--parties", "620", "--grid", "8", "--restarts", "1")
+        assert code == 0
+        assert json.loads(out)["ratio"] == pytest.approx(1.0)
+        for n in ("621", "700"):
+            assert main(["optimize", "--parties", n, "--grid", "8", "--restarts", "1"]) == 2
+            assert "error: task B needs N <= 620 parties" in capsys.readouterr().err
+
     # sha256 of the optimize report and trace TSV, recorded while the task B
     # fidelity still had its own evaluator beside task A's parity-string sum
     GOLDEN_SHA256 = (

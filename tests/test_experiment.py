@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from qccp import (
     task_value_batch,
     visibility_from_gamma,
 )
-from qccp import experiment, sampling
+from qccp import experiment, replay, sampling
 from qccp.experiment import _simulate, split_targets
 
 probs = st.floats(0.0, 1.0, allow_nan=False)
@@ -311,6 +312,19 @@ class TestReferenceEngine:
         monkeypatch.setattr(experiment, "CHUNK_WORDS", 64)
         params = ExperimentParams(task, n, 5000.0, mu / 5000.0, 0.6, 0.8, 40)
         assert_replays(params, generators(3, n, spare=n % 2 == 1), max_windows=200)
+
+    def test_chunks_follow_the_words_read_at_low_acceptance(self, monkeypatch):
+        # at mu = 12 one window in about 14,000 is accepted; each chunk still
+        # draws CHUNK_WORDS words, as one replay.doubles call.  A Philox
+        # generator counts the words read: four per counter step, less the
+        # 4 - buffer_pos words of its buffer not yet read
+        chunks = mock.Mock(wraps=replay.doubles)
+        monkeypatch.setattr(replay, "doubles", chunks)
+        rng = np.random.Generator(np.random.Philox(12))
+        simulate_experiment(ExperimentParams(Task.B, 5, 5000.0, 0.0024, 0.6, 0.8, 1), rng)
+        state = rng.bit_generator.state
+        read = 4 * int(state["state"]["counter"][0]) + state["buffer_pos"] - 4
+        assert chunks.call_count <= -(-read // experiment.CHUNK_WORDS) + 1
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_rounds_that_reject_every_proposal(self, monkeypatch, n):

@@ -36,24 +36,6 @@ class TestRandomStream:
         assert not np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("n", [1, 2, 5])
-def test_one_row_samplers_draw_as_size_one(n):
-    # the experiment engine's per-window calls: a one-row sample, poisson, and
-    # one or two random() draws; the twin makes the same calls with size=1
-    rng, twin = RandomStream(31, n).generator(), RandomStream(31, n).generator()
-    for _ in range(1500):
-        for sampler in (sample_a, sample_b):
-            row = sampler(n, rng)
-            expected = sampler(n, twin, size=1)[0]
-            assert row.shape == (n,) and row.dtype == expected.dtype
-            assert np.array_equal(row, expected)
-        count = rng.poisson(1.0)
-        assert count == twin.poisson(1.0)
-        for _ in range(1 + (count == 1)):
-            assert rng.random() == twin.random()
-        assert rng.bit_generator.state == twin.bit_generator.state
-
-
 @pytest.mark.parametrize("sampler", [sample_a, sample_b])
 def test_zero_rows_draw_nothing(sampler):
     rng = RandomStream(3, 0).generator()
@@ -94,14 +76,12 @@ class TestSampleA:
 
     def test_shape_modes(self):
         rng = RandomStream(0, 0).generator()
-        single = sample_a(4, rng)
-        assert single.shape == (4,)
         batch = sample_a(4, rng, size=7)
         assert batch.shape == (7, 4)
 
     def test_bad_party_count(self):
         with pytest.raises(ValueError):
-            sample_a(0, RandomStream(0, 0).generator())
+            sample_a(0, RandomStream(0, 0).generator(), size=1)
 
 
 class TestSampleB:
