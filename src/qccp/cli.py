@@ -10,6 +10,13 @@ Two serialisation formats exist: ``structured-record`` (JSON, for tests and
 tooling) and ``delimited-table`` (TSV, for external plotting).  Record logs
 and histograms are inherently tabular and always ship as TSV with a
 ``# schema:`` header line.
+
+Every TSV cell follows one rule, kept in :func:`_cells` alone: ``repr`` of
+a float, ``str`` of an int (a bool as 0/1), text as it is.  A key/value
+report gives each value's ``repr`` as text.  A different records float
+format would change ``_cells`` and nothing else.  Every table but the
+streamed records log is built by :func:`_table`, and every report goes to
+its file or stdout through :func:`_write`.
 """
 
 from __future__ import annotations
@@ -65,19 +72,56 @@ def _json_dumps(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _kv_table(payload: dict) -> str:
-    lines = ["key\tvalue"]
-    for key in sorted(payload):
-        lines.append(f"{key}\t{payload[key]!r}")
+def _cells(column) -> list[str]:
+    """The text of each entry of a non-empty column: ``repr`` of a float, ``str`` of an int, text as is.
+
+    An int or bool column has few distinct values, so each is formatted
+    once: through a table over the column's range, or over its distinct
+    values when that range is wider than the column.
+    """
+    column = np.asarray(column)
+    if column.dtype.kind == "U":
+        return column.tolist()
+    if column.dtype.kind == "f":
+        return list(map(repr, column.tolist()))
+    column = column.astype(np.int64, copy=False)
+    low, high = int(column.min()), int(column.max())
+    if high - low < len(column):
+        values, index = range(low, high + 1), column - low
+    else:
+        values, index = np.unique(column, return_inverse=True)
+        values = values.tolist()
+    return np.array([str(v) for v in values], dtype=object)[index].tolist()
+
+
+def _table(columns: dict, schema: str | None = None) -> str:
+    """A TSV of equal-length, non-empty columns: a ``# schema:`` line if given, the names, the rows."""
+    lines = [f"# schema: {schema}"] if schema else []
+    lines.append("\t".join(columns))
+    lines += map("\t".join, zip(*map(_cells, columns.values())))
     return "\n".join(lines) + "\n"
 
 
-def _emit(payload: dict, fmt: str, out: str | None) -> None:
-    text = _json_dumps(payload) if fmt == "structured-record" else _kv_table(payload)
+def _key_values(payload: dict) -> dict:
+    """The key/value table of a report: its keys in order, each value's ``repr``."""
+    keys = sorted(payload)
+    return {"key": keys, "value": [repr(payload[k]) for k in keys]}
+
+
+def _write(text: str, out) -> None:
+    """Write ``text`` to the file ``out``, or to stdout when ``out`` is empty."""
     if out:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(payload: dict, fmt: str, out: str | None, table: dict | None = None) -> None:
+    """Write a report as JSON, or as the TSV of ``table``, by default the payload's keys and values."""
+    if fmt == "structured-record":
+        _write(_json_dumps(payload), out)
+    else:
+        _write(_table(table or _key_values(payload)), out)
 
 
 class _UsageError(Exception):
@@ -178,8 +222,6 @@ def _seed_of(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    if args.parties < 1:
-        raise ValueError("parties must be >= 1")
     tasks = [Task(args.task)] if args.task else [Task.A, Task.B]
     rows = []
     for task in tasks:
@@ -196,18 +238,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
                     "quantum_success": (1.0 + qfid) / 2.0,
                 }
             )
-    if args.format == "structured-record":
-        payload = {"schema": "qccp-bounds-v1", "rows": rows}
-        text = _json_dumps(payload)
-    else:
-        cols = list(rows[0])
-        lines = ["\t".join(cols)]
-        lines += ["\t".join(repr(row[c]) if isinstance(row[c], float) else str(row[c]) for c in cols) for row in rows]
-        text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    columns = {c: [row[c] for row in rows] for c in rows[0]}
+    _emit({"schema": "qccp-bounds-v1", "rows": rows}, args.format, args.out, columns)
     return 0
 
 
@@ -215,7 +247,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    tree = CommTree.chain(args.parties) if args.tree == "chain" else CommTree.star(args.parties)
+    tree = getattr(CommTree, args.tree)(args.parties)
     result = brute_force_bound_a(tree)
     closed = classical_bound(Task.A, args.parties).fidelity
     payload = {
@@ -256,9 +288,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         "best_strategy": result.strategy.signs.tolist(),
     }
     if args.trace_out:  # first, so that a trace path that cannot be written emits no report
-        lines = ["# schema: qccp-trace-v1", "sweep\tfidelity"]
-        lines += [f"{i}\t{fid!r}" for i, fid in enumerate(result.trace)]
-        Path(args.trace_out).write_text("\n".join(lines) + "\n")
+        trace = {"sweep": range(len(result.trace)), "fidelity": result.trace}
+        _write(_table(trace, "qccp-trace-v1"), args.trace_out)
     _emit(payload, args.format, args.out)
     return 0
 
@@ -279,25 +310,6 @@ def _experiment_params(args: argparse.Namespace) -> ExperimentParams:
     if args.gamma is not None:
         given["visibility"] = visibility_from_gamma(task, args.gamma)
     return replace(PRESETS[task.value], **{k: v for k, v in given.items() if v is not None})
-
-
-def _cells(column: np.ndarray) -> list[str]:
-    """The text of each entry of a non-empty column: ``repr`` of a float, ``str`` of an int.
-
-    An int or bool column has few distinct values, so each is formatted
-    once: through a table over the column's range, or over its distinct
-    values when that range is wider than the column.
-    """
-    if column.dtype.kind == "f":
-        return list(map(repr, column.tolist()))
-    column = column.astype(np.int64, copy=False)
-    low, high = int(column.min()), int(column.max())
-    if high - low < len(column):
-        values, index = range(low, high + 1), column - low
-    else:
-        values, index = np.unique(column, return_inverse=True)
-        values = values.tolist()
-    return np.array([str(v) for v in values], dtype=object)[index].tolist()
 
 
 def write_records_tsv(path: Path, chunks, seed: int) -> None:
@@ -328,12 +340,9 @@ def write_records_tsv(path: Path, chunks, seed: int) -> None:
 
 
 def write_histogram_tsv(path: Path, histogram) -> None:
-    lines = [f"# schema: {HISTOGRAM_SCHEMA}", "bin_left\tbin_right\tcount"]
-    for left, right, count in zip(
-        histogram.bin_edges[:-1], histogram.bin_edges[1:], histogram.counts
-    ):
-        lines.append(f"{float(left)!r}\t{float(right)!r}\t{count}")
-    path.write_text("\n".join(lines) + "\n")
+    edges = histogram.bin_edges
+    columns = {"bin_left": edges[:-1], "bin_right": edges[1:], "count": histogram.counts}
+    _write(_table(columns, HISTOGRAM_SCHEMA), path)
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
@@ -345,14 +354,9 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     bound = classical_bound(params.task, params.n_parties)
     payload = {
         "schema": "qccp-experiment-v1",
+        **asdict(params),
         "task": params.task.value,
-        "n_parties": params.n_parties,
-        "trigger_rate": params.trigger_rate,
-        "window": params.window,
-        "eta": params.eta,
-        "visibility": params.visibility,
         "gamma": params.gamma,
-        "n_target": params.n_target,
         "seed": seed,
         "streams": args.streams,
         "n_windows": len(runs),
@@ -397,37 +401,32 @@ class Check:
 def _reproduction_checks(seed: int) -> list[Check]:
     checks: list[Check] = []
 
-    def add(name, observed, expected, tolerance, passed):
-        checks.append(Check(name, float(observed), float(expected), tolerance, bool(passed)))
+    def add(name, observed, expected, tolerance, passed=None):
+        """Record a check; an ``exact`` or ``abs <bound>`` tolerance gives its own verdict."""
+        observed, expected = float(observed), float(expected)
+        if passed is None:
+            kind, _, bound = tolerance.partition(" ")
+            error = abs(observed - expected)
+            passed = observed == expected if kind == "exact" else error < float(bound)
+        checks.append(Check(name, observed, expected, tolerance, bool(passed)))
 
     # closed-form bounds
-    pa = classical_bound(Task.A, 5).success
-    add("closed-form-success-A-N5", pa, 0.625, "abs 1e-4", abs(pa - 0.625) < 1e-4)
-    pb = classical_bound(Task.B, 5).success
+    add("closed-form-success-A-N5", classical_bound(Task.A, 5).success, 0.625, "abs 1e-4")
     pb_ref = (1.0 + (2.0 / math.pi) ** 4) / 2.0
-    add("closed-form-success-B-N5", pb, pb_ref, "abs 1e-4", abs(pb - pb_ref) < 1e-4)
-    fqa = quantum_fidelity(Task.A, 5)
-    add("quantum-fidelity-A", fqa, 1.0, "exact", fqa == 1.0)
-    fqb = quantum_fidelity(Task.B, 5)
-    add("quantum-fidelity-B", fqb, math.pi / 4, "abs 1e-12", abs(fqb - math.pi / 4) < 1e-12)
+    add("closed-form-success-B-N5", classical_bound(Task.B, 5).success, pb_ref, "abs 1e-4")
+    add("quantum-fidelity-A", quantum_fidelity(Task.A, 5), 1.0, "exact")
+    add("quantum-fidelity-B", quantum_fidelity(Task.B, 5), math.pi / 4, "abs 1e-12")
 
     # certified brute-force reduction
     for n, shape in ((2, "chain"), (3, "chain"), (3, "star")):
-        tree = CommTree.chain(n) if shape == "chain" else CommTree.star(n)
-        got = brute_force_bound_a(tree).max_fidelity
-        want = classical_bound(Task.A, n).fidelity
-        add(f"certified-max-A-N{n}-{shape}", got, want, "exact", got == want)
+        got = brute_force_bound_a(getattr(CommTree, shape)(n)).max_fidelity
+        add(f"certified-max-A-N{n}-{shape}", got, classical_bound(Task.A, n).fidelity, "exact")
 
     # product-strategy exhaustion at N=5
     fids, best = exhaust_product_strategies_a(5)
-    add("product-exhaustion-max-A-N5", fids[best], 0.25, "exact", fids[best] == 0.25)
-    add(
-        "product-exhaustion-no-excess-A-N5",
-        fids.max(),
-        0.25,
-        "never exceeded",
-        bool((fids <= 0.25).all()),
-    )
+    add("product-exhaustion-max-A-N5", fids[best], 0.25, "exact")
+    no_excess = (fids <= 0.25).all()
+    add("product-exhaustion-no-excess-A-N5", fids.max(), 0.25, "never exceeded", no_excess)
 
     # coordinate ascent for task B
     rng = RandomStream(seed, 4).generator()
@@ -476,14 +475,8 @@ def _reproduction_checks(seed: int) -> list[Check]:
 
     # window optimisation
     choice = optimize_window(5000.0)
-    add("window-optimum", choice.window, 200e-6, "exact", choice.window == 200e-6)
-    add(
-        "window-accept-prob",
-        choice.accept_prob,
-        math.exp(-1.0),
-        "abs 1e-12",
-        abs(choice.accept_prob - math.exp(-1.0)) < 1e-12,
-    )
+    add("window-optimum", choice.window, 200e-6, "exact")
+    add("window-accept-prob", choice.accept_prob, math.exp(-1.0), "abs 1e-12")
     return checks
 
 
@@ -501,10 +494,8 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
             "all_passed": all_passed,
             "checks": [asdict(c) for c in checks],
         }
-        text = _json_dumps(payload) if args.format == "structured-record" else _kv_table(
-            {c.name: "PASS" if c.passed else "FAIL" for c in checks}
-        )
-        Path(args.out).write_text(text)
+        verdicts = _key_values({c.name: "PASS" if c.passed else "FAIL" for c in checks})
+        _emit(payload, args.format, args.out, verdicts)
     return 0 if all_passed else 1
 
 
@@ -531,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="closed-form classical and quantum values")
     p.add_argument("--task", choices=("A", "B"), default=None)
-    p.add_argument("--parties", type=int, default=5)
+    p.add_argument("--parties", type=positive_int, default=5)
     common(p)
 
     p = sub.add_parser("certify", help="brute-force the task A bound over all protocols")

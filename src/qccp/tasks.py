@@ -172,9 +172,16 @@ def compose(task: Task, x, y) -> np.ndarray:
 
 
 def density_b(rows) -> np.ndarray:
-    """Task B joint density |cos(sum X)| / (4 (2*pi)^(N-1)) of each row on [0, 2*pi)^N."""
+    """Task B joint density |cos(sum X)| / (4 (2*pi)^(N-1)) of each row on [0, 2*pi)^N.
+
+    Its normaliser overflows a float from N = 387 on, and such N are refused with ``ValueError``.
+    """
     c = coherence(Task.B, rows)
-    return np.abs(c) / (4.0 * (2.0 * math.pi) ** (np.shape(rows)[1] - 1))
+    n = np.shape(rows)[1]
+    limit = 1 + int(math.log(np.finfo(float).max / 4.0, 2.0 * math.pi))
+    if n > limit:
+        raise ValueError(f"task B's density needs N <= {limit} parties: 4 (2 pi)^(N-1) overflows")
+    return np.abs(c) / (4.0 * (2.0 * math.pi) ** (n - 1))
 
 
 def norm_b(n_parties: int) -> float:

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 import oracles
 from qccp import (
-    PRESETS, Runs, Task, classical_bound, cli, optimize_window, quantum, success_stats,
-    visibility_from_gamma,
+    PRESETS, Runs, Task, WindowChoice, classical_bound, cli, optimize_window, quantum,
+    success_stats, visibility_from_gamma,
 )
 from qccp.cli import main
 
@@ -74,8 +74,22 @@ class TestBounds:
         assert len(lines) == 1 + 2 * 3  # header + both tasks
 
     def test_invalid_party_count(self, capsys):
-        code, _ = run_cli(capsys, "bounds", "--parties", "-2")
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "--parties", "-2"])
+        assert exc.value.code == 2
+
+    # sha256 of `bounds --parties 6`, recorded while the bounds table had its
+    # own row loop: a change to a value, a column or a cell's text shows here
+    GOLDEN_SHA256 = {
+        "structured-record": "330303e5a5a0df1eb24ed63f76fb2de0674689d9c4d0f8b2ae08c60f2679d851",
+        "delimited-table": "12296920dff1bccf20541a6cb76eed1f325a3399b30a3d5fe28b944b5344144d",
+    }
+
+    @pytest.mark.parametrize("fmt", sorted(GOLDEN_SHA256))
+    def test_golden_digests(self, capsys, fmt):
+        code, out = run_cli(capsys, "bounds", "--parties", "6", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN_SHA256[fmt]
 
 
 class TestCertify:
@@ -176,6 +190,19 @@ class TestOptimize:
         assert code == 0
         digests = tuple(hashlib.sha256(f.read_bytes()).hexdigest() for f in (out, trace))
         assert digests == self.GOLDEN_SHA256
+
+    # sha256 of the same report as a key/value table, recorded while that
+    # table had its own writer
+    TABLE_SHA256 = "e351ef9fc834e3993134ebd5c21068d0e183c507ccc5bccc9dc11baa16f3a03e"
+
+    def test_table_digest(self, capsys, tmp_path):
+        out = tmp_path / "optimize.tsv"
+        code, _ = run_cli(
+            capsys, "optimize", "--parties", "5", "--grid", "64", "--restarts", "20",
+            "--seed", "7", "--format", "delimited-table", "--out", str(out),
+        )
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.TABLE_SHA256
 
     # the same digests for 9 cells (an odd sign-table size) and 65 restarts,
     # recorded while every restart still ascended alone; at (3, 10) the best
@@ -357,6 +384,23 @@ class TestExperiment:
         files = [out, tmp_path / "run.json.records.tsv", tmp_path / "run.json.histogram.tsv"]
         digests = tuple(hashlib.sha256(f.read_bytes()).hexdigest() for f in files)
         assert digests == self.GOLDEN_SHA256[task]
+
+    # sha256 of the GOLDEN_ARGS report as a key/value table, recorded while the
+    # report listed each parameter field by hand
+    TABLE_SHA256 = {
+        "A": "b6e98ed5675c9a27496367e5daf60fec872d0ec14be87e5f2d2d3b37950e5b93",
+        "B": "d1a508cc6a2ba7a40831da6359d3c059b88ae5b253154550a30baea3c9de88f8",
+    }
+
+    @pytest.mark.parametrize("task", ["A", "B"])
+    def test_table_digest(self, capsys, tmp_path, task):
+        out = tmp_path / "run.tsv"
+        code, _ = run_cli(
+            capsys, "experiment", "--task", task, *self.GOLDEN_ARGS,
+            "--format", "delimited-table", "--out", str(out),
+        )
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.TABLE_SHA256[task]
 
     def test_gamma_and_visibility_conflict(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -600,6 +644,7 @@ BAD_VALUES = [
     ("experiment", "window", "inf"),
     ("certify", "tree", "chian"),
     ("bounds", "format", "xml"),
+    ("bounds", "parties", "0"),
 ]
 
 
@@ -650,6 +695,32 @@ def test_quantum_exact_check_fails_on_a_broken_model(monkeypatch):
     checks = cli._reproduction_checks(7)
     assert [c.name for c in checks if not c.passed] == ["quantum-exact-A-N1..6"]
     assert next(c for c in checks if not c.passed).observed > 0
+
+
+# sha256 of `reproduce --seed 7 --format delimited-table --out F`: the verdict
+# table and the check lines on stdout, recorded while each exact and abs check
+# wrote its tolerance twice, as text and as code
+REPRODUCE_TABLE_SHA256 = (
+    "0be99d428c0222eb866c0dc2afc991aa57e1986fb88c0b77bea6207d3fd24786",
+    "8c98605bee3ff3faf11458448deac50b5e256796349ccafda2e99ae45844bcfe",
+)
+
+
+def test_reproduce_table_digests(capsys, tmp_path):
+    out = tmp_path / "reproduce.tsv"
+    argv = ["reproduce", "--seed", "7", "--format", "delimited-table", "--out", str(out)]
+    code, stdout = run_cli(capsys, *argv)
+    assert code == 0
+    digests = tuple(hashlib.sha256(b).hexdigest() for b in (out.read_bytes(), stdout.encode()))
+    assert digests == REPRODUCE_TABLE_SHA256
+
+
+def test_window_checks_fail_just_past_their_tolerance(monkeypatch):
+    # one part in 10^15 off an exact check, 10^-11 off a check to within 10^-12
+    near_miss = WindowChoice(200e-6 * (1 + 1e-15), math.exp(-1.0) + 1e-11)
+    monkeypatch.setattr(cli, "optimize_window", lambda rate: near_miss)
+    checks = cli._reproduction_checks(7)
+    assert [c.name for c in checks if not c.passed] == ["window-optimum", "window-accept-prob"]
 
 
 def test_entry_point_requires_a_command():

@@ -216,6 +216,12 @@ class TestDensities:
         total = quadrature_nd(density_b, 0.0, TWO_PI, n, k)
         assert total == pytest.approx(1.0, abs=1e-3)
 
+    def test_density_b_up_to_the_float_limit(self):
+        assert density_b(np.zeros((1, 386))).tolist() == [1.0 / (4.0 * TWO_PI**385)]
+        for n in (387, 388):
+            with pytest.raises(ValueError, match="needs N <= 386 parties"):
+                density_b(np.zeros((1, n)))
+
     def test_reduced_density_a(self):
         assert reduced_density(Task.A, [(0, 0, 1, 1, 0)]).tolist() == [1 / 16]
         assert reduced_density(Task.A, [(1, 0), (1, 1)]).tolist() == [0.0, 0.5]
