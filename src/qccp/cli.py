@@ -53,10 +53,10 @@ from .experiment import (
     stream_runs,
     visibility_from_gamma,
 )
-from .quantum import final_state, measure_probabilities, quantum_fidelity, sample_answers
+from .quantum import final_state, measure_probabilities, quantum_fidelity, run_quantum_batch
 from .sampling import RandomStream, enumerate_a, sample_b
 from .stats import DEFAULT_BLOCK_SIZE, block_histogram, sigma_violation, success_stats
-from .tasks import Task, coherence, target_sign, task_value_batch
+from .tasks import Task, task_value_batch
 
 DEFAULT_SEED = 7
 SEED_ENV_VAR = "QCCP_SEED"
@@ -449,9 +449,9 @@ def _reproduction_checks(seed: int) -> list[Check]:
 
     # task B quantum Monte Carlo
     rng = RandomStream(seed, 1).generator()
-    coh = coherence(Task.B, sample_b(5, rng, size=1_000_000))  # for the answers and the target
-    answers = sample_answers(coh, 1.0, rng)
-    p_hat = float(np.mean(answers == target_sign(coh)))
+    inputs = sample_b(5, rng, size=1_000_000)
+    answers = run_quantum_batch(Task.B, inputs, 1.0, rng)
+    p_hat = float(np.mean(answers == task_value_batch(Task.B, inputs)))
     p_q = (1.0 + math.pi / 4.0) / 2.0
     sigma = math.sqrt(p_q * (1.0 - p_q) / 1_000_000)
     add("quantum-mc-B-N5", p_hat, p_q, "within 3 sigma", abs(p_hat - p_q) < 3 * sigma)

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tasks import Task, check_domain, coherence
+from .tasks import Task, accept_below, check_domain, coherence
 
 NORM_TOL = 1e-9
 
@@ -73,25 +73,16 @@ def exact_outcome_a(rows) -> np.ndarray:
     return coherence(Task.A, rows)
 
 
-def _plus(c: np.ndarray, visibility: float) -> np.ndarray:
+def _plus(visibility: float):
+    """c -> P(+1) = (1 + V c)/2 for a visibility V, refused unless it lies in [0, 1]."""
     if not 0.0 <= visibility <= 1.0:
         raise ValueError("visibility must lie in [0, 1]")
-    return (1.0 + visibility * c) / 2.0
+    return lambda c: (1.0 + visibility * c) / 2.0
 
 
 def plus_probability(task: Task, rows, visibility: float) -> np.ndarray:
     """P(+1) = (1 + V cos(sum phases))/2 for each row of a (rows, N) input array."""
-    return _plus(coherence(task, rows), visibility)
-
-
-def sample_answers(c: np.ndarray, visibility: float, rng: np.random.Generator) -> np.ndarray:
-    """One +-1 answer per row from its coherence c = cos(sum phases).
-
-    Draws +-1 with P(+-) = (1 +- V c)/2, one ``rng.random`` value per row:
-    :func:`run_quantum_batch` for a caller that already holds
-    :func:`qccp.tasks.coherence` of its inputs.
-    """
-    return np.where(rng.random(len(c)) < _plus(c, visibility), 1, -1)
+    return _plus(visibility)(coherence(task, rows))
 
 
 def run_quantum_batch(
@@ -103,10 +94,18 @@ def run_quantum_batch(
     """Sample one protocol answer per row under visibility-limited interference.
 
     Draws +-1 with P(+-) = (1 +- V cos(sum phases))/2, one ``rng.random``
-    value per row.  With V = 1 this is the ideal protocol (deterministic for
-    task A); V = 0 is a fair coin.
+    value per row, after the inputs and V are validated.  With V = 1 this is
+    the ideal protocol (deterministic for task A); V = 0 is a fair coin.
+    Task B compares each uniform with P(+) through
+    :func:`qccp.tasks.accept_below`, which gives the answers of float64
+    cosines.
     """
-    return sample_answers(coherence(task, inputs), visibility, rng)
+    plus = _plus(visibility)
+    if task is Task.A:
+        p = plus(coherence(task, inputs))
+        return np.where(rng.random(len(p)) < p, 1, -1)
+    arr = check_domain(task, inputs)
+    return np.where(accept_below(rng.random(len(arr)), arr, plus), 1, -1)
 
 
 def run_quantum(task: Task, inputs: Sequence, visibility: float, rng: np.random.Generator) -> int:

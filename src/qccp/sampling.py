@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tasks import Task, row_blocks, row_sum
+from .tasks import Task, accept_below, row_sum
 
 MAX_ENUM_PARTIES = 10
 DEFAULT_MAX_REJECTION_ROUNDS = 10_000
@@ -44,7 +44,7 @@ def sample_a(n_parties: int, rng: np.random.Generator, size: int) -> np.ndarray:
         raise ValueError("n_parties must be >= 1")
     out = np.empty((size, n_parties), dtype=np.int64)
     out[:, : n_parties - 1] = rng.integers(0, 4, size=(size, n_parties - 1))
-    parity = row_sum(out[:, : n_parties - 1]) % 2
+    parity = row_sum(out[:, : n_parties - 1]) & 1
     out[:, n_parties - 1] = parity + 2 * rng.integers(0, 2, size=size)
     return out
 
@@ -56,20 +56,16 @@ def _propose_b(n_parties: int, rng: np.random.Generator, count: int, limit: int 
     ``random`` scaled in place by 2 pi gives the same bits as
     ``uniform(0, 2 pi)``, which computes 0 + 2 pi * u, and leaves the
     generator in the same state; :class:`qccp.experiment._Walk` replays
-    exactly these words.  Proposals are scored in blocks of rows, each
-    kept when its acceptance double is below |cos| of its row sum.  Only
+    exactly these words.  Each proposal is kept when its acceptance double
+    is below |cos| of its row sum, decided block by block by
+    :func:`qccp.tasks.accept_below` exactly as with float64 cosines.  Only
     the first ``limit`` accepted rows are returned, when one is given; the
     draws do not depend on it.
     """
     proposals = rng.random((count, n_parties))
     proposals *= 2.0 * math.pi
     uniforms = rng.random(count)
-    keep = np.empty(count, dtype=bool)
-    for rows in row_blocks(count):
-        score = row_sum(proposals[rows])
-        np.cos(score, out=score)
-        np.abs(score, out=score)
-        np.less(uniforms[rows], score, out=keep[rows])
+    keep = accept_below(uniforms, proposals, np.abs)
     if limit is not None and np.count_nonzero(keep) > limit:
         keep = keep[: np.flatnonzero(keep)[limit]]  # cut just before acceptance limit + 1
     return np.compress(keep, proposals, axis=0)

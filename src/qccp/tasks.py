@@ -7,7 +7,11 @@ is exact integer arithmetic; no floats are involved.
 
 Task B: each party holds a real phase X_k in [0, 2*pi), jointly distributed
 with density ``|cos(sum X)| / (4 (2*pi)^(N-1))``.  The goal is the sign of
-cos(sum X).
+cos(sum X).  Every task B decision (this sign, the sampler's acceptance and
+the quantum answer) is taken from a float32 cosine (:func:`rough_cos`) and
+settled with float64 ``np.cos`` only on rows within its error bound of the
+edge, so each decision is exactly the float64 one.  :func:`coherence`, which
+callers use for the value itself, stays float64 throughout.
 
 Both tasks admit the same reduction: write X_k as a sign y_k plus a reduced
 coordinate x_k (a bit for A, a value in [0, pi) for B).  The target then
@@ -32,6 +36,7 @@ import numpy as np
 TIE_EPS = 1e-12
 _BELOW_TWO_PI = np.nextafter(2.0 * math.pi, 0.0)
 ROW_BLOCK = 1 << 13  # rows a column kernel takes at a time; keeps its temporaries in cache
+COS_GUARD = 2.0**-14  # float32 np.cos's error (<= 1.49 ulp, below 2^-22) with a 2^8 margin
 
 
 class Task(Enum):
@@ -106,35 +111,87 @@ def coherence(task: Task, rows) -> np.ndarray:
     """cos(sum X) for each row of a (rows, N) input array.
 
     Task A returns the exact integer +-1 from the digit sum mod 4 and raises
-    PromiseViolationError on odd sums; task B is numpy's cosine of the row sum.
+    PromiseViolationError on odd sums; task B is numpy's float64 cosine of
+    the row sum.
     """
     arr = check_domain(task, rows)
     if task is Task.B:
         total = row_sum(arr)
         return np.cos(total, out=total)
-    q = row_sum(arr) % 4
-    if (q % 2).any():
+    q = row_sum(arr) & 3  # digits are non-negative, so & 3 is % 4
+    if (q & 1).any():
         raise PromiseViolationError("inputs contain odd-sum tuples")
     return 1 - q
+
+
+def rough_cos(total: np.ndarray) -> tuple[np.ndarray, float]:
+    """float32 ``np.cos`` of float64 sums, widened to float64, and a bound on its error.
+
+    Returns (rough, guard) with |np.cos(total) - rough| < guard on every row,
+    where guard = COS_GUARD + max|total| 2^-23.  Rounding a sum s to float32
+    moves it by at most |s| 2^-24, and cos moves no more than its argument;
+    float32 ``np.cos`` is within 1.49 float32 ulp, below 2^-22 for values in
+    [-1, 1], and float64 ``np.cos`` within 2^-53.  The total stays below
+    guard - 2^-15.  A decision taken from ``rough`` is therefore the float64
+    one on every row outside guard of its edge:
+
+    - u < P(cos s), for P = |c| or (1 + V c)/2 with V in [0, 1]: P moves by
+      at most |np.cos(s) - rough| plus 2^-52 of rounding, less than guard,
+      so the rows with |u - P(rough)| >= guard decide alike
+      (:func:`accept_below`);
+    - sign(cos s): a row with |rough| >= guard has |np.cos(s)| above 2^-15,
+      far from TIE_EPS, and the same sign (:func:`task_value_batch`).
+
+    Callers settle the remaining rows with float64 ``np.cos``.
+    """
+    rough = total.astype(np.float32)
+    guard = COS_GUARD + float(np.abs(total).max(initial=0.0)) * 2.0**-23
+    return np.cos(rough, out=rough).astype(np.float64), guard
+
+
+def accept_below(u: np.ndarray, rows: np.ndarray, prob) -> np.ndarray:
+    """u < prob(np.cos(row sum)) for each row of a (rows, N) float64 array: the float64 answer.
+
+    ``prob`` maps cosines to probabilities and moves no more than they do
+    (|c| or (1 + V c)/2, see :func:`rough_cos`).  Works a block of rows at
+    a time from :func:`rough_cos`; rows whose uniform lies within guard of
+    prob(rough) are decided again with float64 ``np.cos``.
+    """
+    accept = np.empty(len(rows), dtype=bool)
+    for block in row_blocks(len(rows)):
+        total = row_sum(rows[block])
+        rough, guard = rough_cos(total)
+        p, ub, out = prob(rough), u[block], accept[block]
+        np.less(ub, p, out=out)
+        near = np.flatnonzero(np.abs(ub - p) < guard)
+        out[near] = ub[near] < prob(np.cos(total[near]))
+    return accept
 
 
 def task_value_batch(task: Task, inputs) -> np.ndarray:
     """The game's target sign, sign(cos(sum X)), for each row of a (runs, N) array.
 
     Raises PromiseViolationError for odd-sum task-A rows and CosineTieError
-    when a task-B cosine is within TIE_EPS of zero.
+    when a task-B cosine is within TIE_EPS of zero.  Task A's target is its
+    exact coherence; task B's sign is read from :func:`rough_cos` block by
+    block, and rows within guard of zero are settled in float64, where the
+    tie test applies.
     """
-    return target_sign(coherence(task, inputs))
-
-
-def target_sign(c: np.ndarray) -> np.ndarray:
-    """sign(c) of each coherence c = cos(sum X) (:func:`coherence`): the target.
-
-    Raises CosineTieError when a |c| is within TIE_EPS of zero.
-    """
-    if (np.abs(c) < TIE_EPS).any():
-        raise CosineTieError(f"|cos(sum)| = {np.abs(c).min():.3e} below {TIE_EPS:.1e}")
-    return np.where(c > 0.0, 1, -1)
+    if task is Task.A:
+        return coherence(task, inputs)
+    arr = check_domain(task, inputs)
+    signs = np.empty(len(arr), dtype=np.int64)
+    tie = math.inf  # smallest float64 |cos| among settled rows; every tie is one of them
+    for rows in row_blocks(len(arr)):
+        total = row_sum(arr[rows])
+        c, guard = rough_cos(total)
+        near = np.flatnonzero(np.abs(c) < guard)
+        c[near] = np.cos(total[near])
+        tie = min(tie, float(np.abs(c[near]).min(initial=math.inf)))
+        signs[rows] = np.where(c > 0.0, 1, -1)
+    if tie < TIE_EPS:
+        raise CosineTieError(f"|cos(sum)| = {tie:.3e} below {TIE_EPS:.1e}")
+    return signs
 
 
 def task_value(task: Task, inputs: Sequence) -> int:

@@ -216,6 +216,24 @@ def sample_b_uniform(n_parties: int, rng: np.random.Generator, size: int) -> np.
     return np.concatenate(chunks)[:size]
 
 
+def target_b(inputs: np.ndarray) -> np.ndarray:
+    """Task B targets as first written: the sign of float64 ``np.cos`` of numpy's row sums.
+
+    Raises ValueError where a |cos| is below 1e-12, where the sign is undefined.
+    """
+    c = np.cos(inputs.sum(axis=1))
+    if (np.abs(c) < 1e-12).any():
+        raise ValueError("cosine tie")
+    return np.where(c > 0.0, 1, -1)
+
+
+def answers_b(inputs: np.ndarray, visibility: float, rng: np.random.Generator) -> np.ndarray:
+    """Quantum task B answers as first written: +1 where one ``rng.random`` per row
+    is below (1 + V cos(row sum))/2, with float64 ``np.cos`` of numpy's row sums."""
+    c = np.cos(inputs.sum(axis=1))
+    return np.where(rng.random(len(inputs)) < (1.0 + visibility * c) / 2.0, 1, -1)
+
+
 def product_answers(signs: np.ndarray, task_b: bool, inputs: np.ndarray) -> np.ndarray:
     """A product strategy's answer per row: prod_k a_k(x_k) * prod_k y_k.
 

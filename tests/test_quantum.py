@@ -1,8 +1,9 @@
+import copy
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qccp import (
@@ -22,6 +23,9 @@ from qccp import (
     task_value,
     task_value_batch,
 )
+from qccp import tasks
+
+from oracles import answers_b, sample_b_uniform, target_b
 
 TWO_PI = 2.0 * math.pi
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -201,10 +205,52 @@ class TestRunQuantum:
         with pytest.raises(ValueError):
             run_quantum_batch(Task.A, np.zeros((1, 2), dtype=int), -0.1, RandomStream(0, 0).generator())
 
+    @pytest.mark.parametrize("task", [Task.A, Task.B])
+    @pytest.mark.parametrize("visibility", [1.5, -0.1, math.nan])
+    def test_invalid_visibility_draws_nothing(self, task, visibility):
+        rng = RandomStream(0, 0).generator()
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="visibility"):
+            run_quantum_batch(task, np.zeros((3, 2), dtype=int), visibility, rng)
+        assert rng.bit_generator.state == before
+
+    def test_settling_every_row_changes_no_answer(self, monkeypatch):
+        inputs = np.random.default_rng(23).uniform(0.0, TWO_PI, size=(50_000, 5))
+        want = answers_b(inputs, 0.8, RandomStream(59, 0).generator()).tobytes()
+        got = []
+        for guard in (tasks.COS_GUARD, 4.0):  # 4 exceeds every acceptance margin
+            monkeypatch.setattr(tasks, "COS_GUARD", guard)
+            answers = run_quantum_batch(Task.B, inputs, 0.8, RandomStream(59, 0).generator())
+            got.append(answers.tobytes())
+        assert got[0] == got[1] == want
+
+    def test_answers_on_the_edge_take_the_float64_decision(self):
+        # each row's sum is arccos(2u - 1) for its own uniform u, so P(+) = (1 + cos)/2
+        # lands on u, within rounding: the float32 cosine alone would get about half wrong
+        rng = RandomStream(53, 0).generator()
+        oracle = copy.deepcopy(rng)
+        inputs = np.arccos(2.0 * copy.deepcopy(rng).random(50_000) - 1.0)[:, None]
+        got = run_quantum_batch(Task.B, inputs, 1.0, rng)
+        assert got.tobytes() == answers_b(inputs, 1.0, oracle).tobytes()
+        assert rng.bit_generator.state == oracle.bit_generator.state
+
     @given(st.integers(1, 8))
     def test_fidelity_is_n_independent(self, n):
         assert quantum_fidelity(Task.A, n) == 1.0
         assert quantum_fidelity(Task.B, n) == math.pi / 4.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2**32), visibility=st.floats(0.0, 1.0))
+def test_task_b_batch_path_matches_the_float64_oracles(n, seed, visibility):
+    # 10^4 rows span two row blocks
+    rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+    inputs, want = sample_b(n, rng, 10_000), sample_b_uniform(n, oracle, 10_000)
+    assert inputs.tobytes() == want.tobytes()
+    answers = run_quantum_batch(Task.B, inputs, visibility, rng)
+    assert answers.tobytes() == answers_b(want, visibility, oracle).tobytes()
+    assert rng.bit_generator.state == oracle.bit_generator.state
+    assert task_value_batch(Task.B, inputs).tobytes() == target_b(want).tobytes()
 
 
 class TestFidelityIntegral:

@@ -7,7 +7,8 @@ from scipy import stats as sps
 from qccp import RandomStream, Task, enumerate_a, sample_a, sample_b
 from qccp.quantum import run_quantum_batch
 from qccp.sampling import _propose_b, proposals_per_round
-from qccp.tasks import task_value_batch
+from qccp import tasks
+from qccp.tasks import accept_below, task_value_batch
 
 from oracles import (
     binned_abs_cos_density, enumerate_reduced_a, propose_b_uniform, quadrature_1d, sample_b_uniform,
@@ -179,6 +180,24 @@ class TestSampleB:
         rng, oracle = RandomStream(43, count).generator(), RandomStream(43, count).generator()
         assert _propose_b(5, rng, count).tobytes() == propose_b_uniform(5, oracle, count).tobytes()
         assert rng.bit_generator.state == oracle.bit_generator.state
+
+    def test_edge_rows_are_decided_in_float64(self):
+        # uniforms on |cos| of their sums and one ulp either side: only float64 cosines
+        # tell these apart, so every row goes through the settle
+        total = np.random.default_rng(5).uniform(0.0, 5 * TWO_PI, 20_000)
+        edge = np.abs(np.cos(total))
+        for u in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)):
+            assert np.array_equal(accept_below(u, total[:, None], np.abs), u < edge)
+
+    def test_settling_every_row_changes_no_draw(self, monkeypatch):
+        oracle = RandomStream(47, 0).generator()
+        want = (sample_b_uniform(5, oracle, 50_000).tobytes(), oracle.bit_generator.state)
+        got = []
+        for guard in (tasks.COS_GUARD, 4.0):  # 4 exceeds every acceptance margin
+            monkeypatch.setattr(tasks, "COS_GUARD", guard)
+            rng = RandomStream(47, 0).generator()
+            got.append((sample_b(5, rng, 50_000).tobytes(), rng.bit_generator.state))
+        assert got[0] == got[1] == want
 
 
 class TestEnumerateA:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,9 +22,10 @@ from qccp import (
     task_value_batch,
 )
 
-from qccp.tasks import row_sum
+from qccp import tasks
+from qccp.tasks import ROW_BLOCK, rough_cos, row_sum
 
-from oracles import quadrature_nd, task_value_a, task_value_b
+from oracles import quadrature_nd, target_b, task_value_a, task_value_b
 
 TWO_PI = 2.0 * math.pi
 
@@ -120,6 +122,45 @@ class TestTaskValue:
         inputs = rng.uniform(0.0, TWO_PI, size=(50, 3))
         batch = task_value_batch(Task.B, inputs)
         assert batch.tolist() == [task_value_b(row) for row in inputs.tolist()]
+
+
+class TestRoughCosine:
+    # task B decisions come from float32 cosines, settled in float64 within the guard
+
+    @pytest.mark.parametrize("bound", [math.pi, 10 * math.pi, TWO_PI * 620])
+    def test_error_is_within_half_the_guard(self, bound):
+        # 620 parties is the norm_b limit, so no task B row sum exceeds 2 pi 620
+        total = np.random.default_rng(17).uniform(-bound, bound, 10**6)
+        rough, guard = rough_cos(total)
+        assert rough.dtype == np.float64
+        assert np.abs(np.cos(total) - rough).max() <= guard / 2
+
+    def test_settling_every_row_changes_no_target(self, monkeypatch):
+        inputs = np.random.default_rng(19).uniform(0.0, TWO_PI, size=(50_000, 5))
+        default = task_value_batch(Task.B, inputs)
+        monkeypatch.setattr(tasks, "COS_GUARD", 4.0)  # every |rough| is below it
+        settled = task_value_batch(Task.B, inputs)
+        assert default.tobytes() == settled.tobytes() == target_b(inputs).tobytes()
+
+    def test_near_ties_take_the_float64_sign(self):
+        sums = np.array([0.5, 0.5, 1.5, 1.5]) * math.pi + np.array([1e-9, -1e-9, -1e-9, 1e-9])
+        want = [task_value_b([s]) for s in sums]
+        assert want == [-1, 1, -1, 1]
+        # float32 cosines alone get at least one of these wrong
+        assert (np.where(rough_cos(sums)[0] > 0, 1, -1) != want).any()
+        assert task_value_batch(Task.B, sums[:, None]).tolist() == want
+        split = np.stack([sums / 2, sums - sums / 2], axis=1)
+        assert task_value_batch(Task.B, split).tolist() == target_b(split).tolist()
+
+    def test_tie_reports_the_smallest_cosine_of_all_blocks(self):
+        inputs = np.full((ROW_BLOCK + 10, 1), 0.5)
+        inputs[3] = math.pi / 2 - 5e-13  # a tie in the first block
+        inputs[ROW_BLOCK + 5] = math.pi / 2  # the smallest |cos| sits in the second
+        smallest = np.abs(np.cos(inputs[:, 0])).min()
+        assert smallest < 1e-16
+        message = f"|cos(sum)| = {smallest:.3e} below 1.0e-12"
+        with pytest.raises(CosineTieError, match=re.escape(message)):
+            task_value_batch(Task.B, inputs)
 
 
 def reduced_values(task: Task, x) -> np.ndarray:
