@@ -27,7 +27,7 @@ import numpy as np
 from . import replay, sampling
 from .quantum import plus_probability
 from .sampling import RandomStream
-from .tasks import Task, task_value_batch
+from .tasks import Task, accept_below, task_value_batch
 
 
 class WindowChoice(NamedTuple):
@@ -295,10 +295,9 @@ def _first_accepted(d: np.ndarray, starts: np.ndarray, n: int, proposals: int) -
     """Index of the first accepted proposal of each task B round, -1 if none is.
 
     A round at word q is ``sampling._propose_b``: ``proposals`` rows of n
-    uniform phases, then one acceptance uniform per row, compared with
-    numpy's own row sums, cosines and comparisons.  The rows here are few,
-    so ``sum(axis=1)`` is the cheaper call; the sampler's
-    :func:`qccp.tasks.row_sum` equals it bit for bit.
+    uniform phases, then one acceptance uniform per row.  Proposal j of
+    every round still pending is decided by the sampler's own
+    :func:`qccp.tasks.accept_below`, so the float64 answer is replayed.
     """
     first = np.full(len(starts), -1)
     pending = np.arange(len(starts))
@@ -307,8 +306,8 @@ def _first_accepted(d: np.ndarray, starts: np.ndarray, n: int, proposals: int) -
         if not len(pending):
             break
         at = starts[pending]
-        sums = (_TWO_PI * d[(at + j * n)[:, None] + columns]).sum(axis=1)
-        ok = d[at + proposals * n + j] < np.abs(np.cos(sums))
+        rows = _TWO_PI * d[(at + j * n)[:, None] + columns]
+        ok, _ = accept_below(d[at + proposals * n + j], rows, np.abs)
         first[pending[ok]] = j
         pending = pending[~ok]
     return first
@@ -328,8 +327,8 @@ def _simulate(params: ExperimentParams, rng: np.random.Generator, max_windows: i
 
     A draw is CHUNK_WORDS words, or the fewest the remaining windows can
     draw if that is less, and at least twice the unread words, so a window
-    that did not fit soon does.  Each chunk costs a fixed few dozen numpy
-    calls, most of them task B's rejection check.  At 1 << 16 words a chunk
+    that did not fit soon does.  Each chunk costs a fixed hundred or two
+    numpy calls, most of them task B's rejection check.  At 1 << 16 words a chunk
     holds about 650 task B windows, and the preset B run takes about 75
     chunks, not the 600 of 1 << 13; 1 << 17 gained no more time and costs
     another megabyte.

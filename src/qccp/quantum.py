@@ -105,7 +105,7 @@ def run_quantum_batch(
         p = plus(coherence(task, inputs))
         return np.where(rng.random(len(p)) < p, 1, -1)
     arr = check_domain(task, inputs)
-    return np.where(accept_below(rng.random(len(arr)), arr, plus), 1, -1)
+    return np.where(accept_below(rng.random(len(arr)), arr, plus)[0], 1, -1)
 
 
 def run_quantum(task: Task, inputs: Sequence, visibility: float, rng: np.random.Generator) -> int:

@@ -42,6 +42,8 @@ def sample_a(n_parties: int, rng: np.random.Generator, size: int) -> np.ndarray:
     """
     if n_parties < 1:
         raise ValueError("n_parties must be >= 1")
+    if size < 0:
+        raise ValueError(f"size must be >= 0, got {size}")
     out = np.empty((size, n_parties), dtype=np.int64)
     out[:, : n_parties - 1] = rng.integers(0, 4, size=(size, n_parties - 1))
     parity = row_sum(out[:, : n_parties - 1]) & 1
@@ -64,8 +66,8 @@ def _propose_b(n_parties: int, rng: np.random.Generator, count: int, limit: int 
     """
     proposals = rng.random((count, n_parties))
     proposals *= 2.0 * math.pi
-    uniforms = rng.random(count)
-    keep = accept_below(uniforms, proposals, np.abs)
+    # no name holds the acceptance uniforms, so they are freed before np.compress allocates
+    keep, _ = accept_below(rng.random(count), proposals, np.abs)
     if limit is not None and np.count_nonzero(keep) > limit:
         keep = keep[: np.flatnonzero(keep)[limit]]  # cut just before acceptance limit + 1
     return np.compress(keep, proposals, axis=0)
@@ -88,6 +90,8 @@ def sample_b(
     """
     if n_parties < 1:
         raise ValueError("n_parties must be >= 1")
+    if size < 0:
+        raise ValueError(f"size must be >= 0, got {size}")
     chunks = [np.empty((0, n_parties))]  # size=0 draws nothing and still concatenates
     got = 0
     for _ in range(max_rounds):

@@ -7,11 +7,12 @@ is exact integer arithmetic; no floats are involved.
 
 Task B: each party holds a real phase X_k in [0, 2*pi), jointly distributed
 with density ``|cos(sum X)| / (4 (2*pi)^(N-1))``.  The goal is the sign of
-cos(sum X).  Every task B decision (this sign, the sampler's acceptance and
-the quantum answer) is taken from a float32 cosine (:func:`rough_cos`) and
-settled with float64 ``np.cos`` only on rows within its error bound of the
-edge, so each decision is exactly the float64 one.  :func:`coherence`, which
-callers use for the value itself, stays float64 throughout.
+cos(sum X).  Every task B decision (this sign, the sampler's and the
+engine's acceptance, and the quantum answer) is u < prob(cos), taken by
+:func:`accept_below` from a float32 cosine (:func:`rough_cos`) and settled
+in float64 ``np.cos`` only on rows within its error bound of the edge, so
+each is exactly the float64 decision.  :func:`coherence`, which callers use
+for the value itself, stays float64 throughout.
 
 Both tasks admit the same reduction: write X_k as a sign y_k plus a reduced
 coordinate x_k (a bit for A, a value in [0, pi) for B).  The target then
@@ -70,13 +71,15 @@ def check_domain(task: Task, rows, reduced: bool = False) -> np.ndarray:
     """Validate a (rows, N) input array, N >= 1, against the task's domain.
 
     Returns the rows as int64 digits (task A) or float64 phases (task B).
-    ``reduced`` checks the reduced coordinates x instead.  NaN fails.
+    ``reduced`` checks the reduced coordinates x instead.  NaN fails, and so
+    does a task A float that is not a whole number.
     """
     arr = np.asarray(rows)
     if arr.ndim != 2 or arr.shape[1] < 1:
         raise ValueError(f"expected a (rows, N) array with N >= 1, got shape {arr.shape}")
     hi, message = _DOMAINS[task, reduced]
-    if arr.size and not (0 <= arr.min() and arr.max() < hi):
+    whole = task is Task.B or arr.dtype.kind != "f" or (arr == np.floor(arr)).all()
+    if arr.size and not (whole and 0 <= arr.min() and arr.max() < hi):
         raise ValueError(message)
     return arr.astype(np.int64 if task is Task.A else np.float64, copy=False)
 
@@ -137,35 +140,41 @@ def rough_cos(total: np.ndarray) -> tuple[np.ndarray, float]:
 
     - u < P(cos s), for P = |c| or (1 + V c)/2 with V in [0, 1]: P moves by
       at most |np.cos(s) - rough| plus 2^-52 of rounding, less than guard,
-      so the rows with |u - P(rough)| >= guard decide alike
-      (:func:`accept_below`);
-    - sign(cos s): a row with |rough| >= guard has |np.cos(s)| above 2^-15,
-      far from TIE_EPS, and the same sign (:func:`task_value_batch`).
+      so the rows with |u - P(rough)| >= guard decide alike;
+    - sign(cos s), which is 0 < c, P = c with u = 0: a row with
+      |rough| >= guard has |np.cos(s)| above 2^-15, far from TIE_EPS, and
+      the same sign (:func:`task_value_batch`).
 
-    Callers settle the remaining rows with float64 ``np.cos``.
+    :func:`accept_below` settles the remaining rows with float64 ``np.cos``.
     """
     rough = total.astype(np.float32)
     guard = COS_GUARD + float(np.abs(total).max(initial=0.0)) * 2.0**-23
     return np.cos(rough, out=rough).astype(np.float64), guard
 
 
-def accept_below(u: np.ndarray, rows: np.ndarray, prob) -> np.ndarray:
+def accept_below(u: np.ndarray, rows: np.ndarray, prob) -> tuple[np.ndarray, float]:
     """u < prob(np.cos(row sum)) for each row of a (rows, N) float64 array: the float64 answer.
 
     ``prob`` maps cosines to probabilities and moves no more than they do
-    (|c| or (1 + V c)/2, see :func:`rough_cos`).  Works a block of rows at
-    a time from :func:`rough_cos`; rows whose uniform lies within guard of
-    prob(rough) are decided again with float64 ``np.cos``.
+    (|c|, c or (1 + V c)/2, see :func:`rough_cos`).  Works a block of rows
+    at a time from :func:`rough_cos`; rows whose uniform lies within guard
+    of prob(rough) are settled with float64 ``np.cos``.  Returns (accept,
+    margin): margin is the smallest float64 |u - prob(cos)| of the settled
+    rows, inf if none was, and every margin below guard is one of them.
     """
     accept = np.empty(len(rows), dtype=bool)
+    margin = math.inf
     for block in row_blocks(len(rows)):
         total = row_sum(rows[block])
         rough, guard = rough_cos(total)
         p, ub, out = prob(rough), u[block], accept[block]
         np.less(ub, p, out=out)
         near = np.flatnonzero(np.abs(ub - p) < guard)
-        out[near] = ub[near] < prob(np.cos(total[near]))
-    return accept
+        if len(near):
+            exact = prob(np.cos(total[near]))
+            out[near] = ub[near] < exact
+            margin = min(margin, float(np.abs(ub[near] - exact).min()))
+    return accept, margin
 
 
 def task_value_batch(task: Task, inputs) -> np.ndarray:
@@ -173,25 +182,16 @@ def task_value_batch(task: Task, inputs) -> np.ndarray:
 
     Raises PromiseViolationError for odd-sum task-A rows and CosineTieError
     when a task-B cosine is within TIE_EPS of zero.  Task A's target is its
-    exact coherence; task B's sign is read from :func:`rough_cos` block by
-    block, and rows within guard of zero are settled in float64, where the
-    tie test applies.
+    exact coherence; task B's sign is 0 < cos, decided by
+    :func:`accept_below`, whose margin is the smallest settled |cos|.
     """
     if task is Task.A:
         return coherence(task, inputs)
     arr = check_domain(task, inputs)
-    signs = np.empty(len(arr), dtype=np.int64)
-    tie = math.inf  # smallest float64 |cos| among settled rows; every tie is one of them
-    for rows in row_blocks(len(arr)):
-        total = row_sum(arr[rows])
-        c, guard = rough_cos(total)
-        near = np.flatnonzero(np.abs(c) < guard)
-        c[near] = np.cos(total[near])
-        tie = min(tie, float(np.abs(c[near]).min(initial=math.inf)))
-        signs[rows] = np.where(c > 0.0, 1, -1)
+    positive, tie = accept_below(np.broadcast_to(0.0, len(arr)), arr, lambda c: c)
     if tie < TIE_EPS:
         raise CosineTieError(f"|cos(sum)| = {tie:.3e} below {TIE_EPS:.1e}")
-    return signs
+    return np.where(positive, 1, -1)
 
 
 def task_value(task: Task, inputs: Sequence) -> int:

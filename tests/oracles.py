@@ -216,6 +216,23 @@ def sample_b_uniform(n_parties: int, rng: np.random.Generator, size: int) -> np.
     return np.concatenate(chunks)[:size]
 
 
+def first_accepted_b(d: np.ndarray, starts, n_parties: int, proposals: int) -> list[int]:
+    """Index of the first accepted proposal of each task B rejection round, -1 if none is.
+
+    The round at word q of the doubles d lays out ``proposals`` rows of
+    ``n_parties`` words, each scaled by 2 pi, then one acceptance uniform
+    per row; a row is accepted where its uniform is below float64
+    ``np.abs(np.cos)`` of numpy's row sum.
+    """
+    width = proposals * n_parties
+    out = []
+    for q in starts:
+        phases = 2.0 * math.pi * d[q : q + width].reshape(proposals, n_parties)
+        ok = d[q + width : q + width + proposals] < np.abs(np.cos(phases.sum(axis=1)))
+        out.append(int(np.argmax(ok)) if ok.any() else -1)
+    return out
+
+
 def target_b(inputs: np.ndarray) -> np.ndarray:
     """Task B targets as first written: the sign of float64 ``np.cos`` of numpy's row sums.
 

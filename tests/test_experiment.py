@@ -29,7 +29,9 @@ from qccp import (
     visibility_from_gamma,
 )
 from qccp import experiment, replay, sampling
-from qccp.experiment import _simulate, split_targets
+from qccp.experiment import _first_accepted, _simulate, split_targets
+
+from oracles import first_accepted_b
 
 probs = st.floats(0.0, 1.0, allow_nan=False)
 COLUMNS = [f.name for f in dataclasses.fields(Runs)]
@@ -411,3 +413,46 @@ class TestStreams:
         three = Runs.concat([r for _, r in stream_runs(params, seed=9, streams=3)])
         assert not same_runs(one, three)
         assert np.count_nonzero(one.accepted) == np.count_nonzero(three.accepted) == 600
+
+
+class TestFirstAccepted:
+    # the engine's replay of task B rounds at the edge of their acceptance test, where
+    # float32 cosines alone decide wrongly and random streams almost never land
+
+    @staticmethod
+    def edge_rounds(n: int, proposals: int, plan: list[int], seed: int):
+        """Doubles holding one round per plan entry, at random gaps, and the rounds' starts.
+
+        Round r's proposals before plan[r] get uniforms on |cos| of their sum or one ulp
+        above it, proposal plan[r] one ulp below, so it is the first accepted (plan -1:
+        none is).  Odd rounds put every sum within 1e-9 of a zero of cos.
+        """
+        rng = np.random.default_rng(seed)
+        words, starts, at = [], [], 0
+        for r, first in enumerate(plan):
+            gap = rng.random(int(rng.integers(0, 4)))
+            phases = rng.random((proposals, n))
+            if r % 2:
+                partial = (experiment._TWO_PI * phases[:, :-1]).sum(axis=1)
+                zero = (np.floor(partial / math.pi - 0.5) + 1.5) * math.pi
+                zero += rng.uniform(-1e-9, 1e-9, proposals)
+                phases[:, -1] = (zero - partial) / experiment._TWO_PI
+            edge = np.abs(np.cos((experiment._TWO_PI * phases).sum(axis=1)))
+            assert r % 2 == 0 or edge.max() < 2e-9
+            u = rng.random(proposals)
+            last = proposals if first < 0 else first
+            u[:last] = np.where(np.arange(last) % 2, edge[:last], np.nextafter(edge[:last], 1.0))
+            if first >= 0:
+                u[first] = np.nextafter(edge[first], 0.0)
+            starts.append(at + len(gap))
+            words += [gap, phases.ravel(), u]
+            at = starts[-1] + proposals * (n + 1)
+        return np.concatenate(words), np.array(starts, dtype=np.intp)
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_edge_rounds_match_the_float64_oracle(self, n):
+        proposals = sampling.proposals_per_round(1)
+        plan = [0, 1, 7, proposals - 1, -1] * 6
+        d, starts = self.edge_rounds(n, proposals, plan, seed=29 + n)
+        got = _first_accepted(d, starts, n, proposals)
+        assert got.tolist() == first_accepted_b(d, starts, n, proposals) == plan

@@ -83,7 +83,7 @@ class TestStatesAndGates:
 
 
 class TestClosedForm:
-    """plus_probability, used by every sampler of answers, is the amplitude model."""
+    """plus_probability, the experiment engine's answer probability, is the amplitude model."""
 
     def test_task_a_is_bit_equal(self):
         for n in range(1, 7):

@@ -47,6 +47,15 @@ def test_zero_rows_draw_nothing(sampler):
     assert rng.bit_generator.state == before
 
 
+@pytest.mark.parametrize("sampler", [sample_a, sample_b])
+def test_negative_size_is_refused_before_any_draw(sampler):
+    rng = RandomStream(3, 0).generator()
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="size must be >= 0, got -5"):
+        sampler(3, rng, size=-5)
+    assert rng.bit_generator.state == before
+
+
 class TestSampleA:
     def test_single_party_support(self):
         rng = RandomStream(0, 0).generator()
@@ -183,11 +192,15 @@ class TestSampleB:
 
     def test_edge_rows_are_decided_in_float64(self):
         # uniforms on |cos| of their sums and one ulp either side: only float64 cosines
-        # tell these apart, so every row goes through the settle
+        # tell these apart, so every row goes through the settle and sets the margin
         total = np.random.default_rng(5).uniform(0.0, 5 * TWO_PI, 20_000)
         edge = np.abs(np.cos(total))
         for u in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)):
-            assert np.array_equal(accept_below(u, total[:, None], np.abs), u < edge)
+            accept, margin = accept_below(u, total[:, None], np.abs)
+            assert np.array_equal(accept, u < edge)
+            assert margin == np.abs(u - edge).min()
+        assert accept_below(edge, total[:, None], np.abs)[1] == 0.0
+        assert accept_below(np.zeros(3), np.full((3, 1), 0.5), np.abs)[1] == math.inf
 
     def test_settling_every_row_changes_no_draw(self, monkeypatch):
         oracle = RandomStream(47, 0).generator()

@@ -7,7 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qccp import (
+    CommTree,
     CosineTieError,
+    ProductStrategyA,
     PromiseViolationError,
     Task,
     check_domain,
@@ -15,7 +17,10 @@ from qccp import (
     decompose_batch,
     density_b,
     enumerate_a,
+    exact_outcome_a,
+    final_state,
     reduced_density,
+    run_protocol,
     run_quantum,
     run_quantum_batch,
     task_value,
@@ -31,8 +36,8 @@ TWO_PI = 2.0 * math.pi
 
 
 class TestRowSum:
-    # row_sum must be bit for bit numpy's sum(axis=1): the samplers use it, the
-    # experiment engine replays their acceptance test with sum(axis=1)
+    # row_sum must be bit for bit numpy's sum(axis=1): the samplers and the experiment
+    # engine's replay of their acceptance test use it, the float64 oracles sum(axis=1)
     @pytest.mark.parametrize("n", range(13))
     @pytest.mark.parametrize("rows", [0, 1, 5000])
     def test_float64_equals_numpy(self, n, rows):
@@ -104,6 +109,33 @@ class TestTaskValue:
             task_value_batch(Task.A, np.array([[0, 0], [4, 0], [1, 1]]))
         with pytest.raises(ValueError, match="2\\*pi"):
             task_value_batch(Task.B, np.array([[0.5, 0.25], [0.5, TWO_PI]]))
+        assert task_value_batch(Task.A, np.array([[2.0, 0.0]])).tolist() == [-1]
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            pytest.param(lambda: task_value_batch(Task.A, [[2.5, 0.5]]), "0..3", id="target"),
+            pytest.param(lambda: compose(Task.A, [[0.5, 0.5]], [[1, -1]]), "bits", id="compose"),
+            pytest.param(lambda: final_state(Task.A, [[2.5, 0.5]]), "0..3", id="final_state"),
+            pytest.param(lambda: exact_outcome_a([[2.5, 0.5]]), "0..3", id="exact_outcome"),
+            pytest.param(
+                lambda: run_quantum_batch(Task.A, [[2.5, 0.5]], 1.0, np.random.default_rng(0)),
+                "0..3",
+                id="run_quantum_batch",
+            ),
+            pytest.param(lambda: reduced_density(Task.A, [[0.5, 0.5]]), "bits", id="density"),
+            pytest.param(
+                lambda: run_protocol(
+                    ProductStrategyA([[1, -1], [1, 1]]), CommTree.chain(2), (2.5, 0.5)
+                ),
+                "0..3",
+                id="run_protocol",
+            ),
+        ],
+    )
+    def test_fractional_task_a_digits_are_refused(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
 
     @given(st.lists(st.integers(0, 3), min_size=1, max_size=8))
     def test_task_a_is_permutation_invariant(self, digits):
