@@ -39,8 +39,8 @@ class SuccessStats:
             raise ValueError("need at least one run")
         if not 0 <= self.successes <= self.n:
             raise ValueError("successes must lie in [0, n]")
-        if not self.sigma >= 0.0:
-            raise ValueError(f"sigma must be non-negative, got {self.sigma}")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be non-negative and finite, got {self.sigma}")
 
     @property
     def p_hat(self) -> float:
@@ -69,7 +69,9 @@ def sigma_violation(stats: SuccessStats, classical_p: float) -> float:
 
 
 def wilson_interval(stats: SuccessStats, z: float = 1.0) -> tuple[float, float]:
-    """Wilson score interval, the optional alternative to the Wald error."""
+    """Wilson score interval, the optional alternative to the Wald error; z > 0 and finite."""
+    if not 0.0 < z < math.inf:
+        raise ValueError(f"z must be positive and finite, got {z}")
     n, p = stats.n, stats.p_hat
     denom = 1.0 + z * z / n
     centre = (p + z * z / (2 * n)) / denom

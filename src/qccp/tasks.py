@@ -72,12 +72,15 @@ def check_domain(task: Task, rows, reduced: bool = False) -> np.ndarray:
 
     Returns the rows as int64 digits (task A) or float64 phases (task B).
     ``reduced`` checks the reduced coordinates x instead.  NaN fails, and so
-    does a task A float that is not a whole number.
+    do a task A float that is not a whole number and any array that is not
+    bool, integer or float (complex, text, objects).
     """
     arr = np.asarray(rows)
     if arr.ndim != 2 or arr.shape[1] < 1:
         raise ValueError(f"expected a (rows, N) array with N >= 1, got shape {arr.shape}")
     hi, message = _DOMAINS[task, reduced]
+    if arr.dtype.kind not in "biuf":
+        raise ValueError(message)
     whole = task is Task.B or arr.dtype.kind != "f" or (arr == np.floor(arr)).all()
     if arr.size and not (whole and 0 <= arr.min() and arr.max() < hi):
         raise ValueError(message)

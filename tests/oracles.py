@@ -339,3 +339,33 @@ def records_tsv_by_row(path, chunks, seed: int) -> None:
             for i, values in enumerate(zip(*columns), first):
                 fh.write(row.format(i, *values))
             first += len(runs)
+
+
+def cells_by_repr(column) -> list[str]:
+    """The text of each entry of a non-empty column: ``repr`` of a float, ``str`` of an int, text as is.
+
+    An int or bool column has few distinct values, so each is formatted
+    once: through a table over the column's range, or over its distinct
+    values when that range is wider than the column.
+    """
+    column = np.asarray(column)
+    if column.dtype.kind == "U":
+        return column.tolist()
+    if column.dtype.kind == "f":
+        return list(map(repr, column.tolist()))
+    column = column.astype(np.int64, copy=False)
+    low, high = int(column.min()), int(column.max())
+    if high - low < len(column):
+        values, index = range(low, high + 1), column - low
+    else:
+        values, index = np.unique(column, return_inverse=True)
+        values = values.tolist()
+    return np.array([str(v) for v in values], dtype=object)[index].tolist()
+
+
+def table_by_repr(columns: dict, schema: str | None = None) -> str:
+    """A TSV of equal-length, non-empty columns, each row a ``"\\t".join`` of :func:`cells_by_repr`."""
+    lines = [f"# schema: {schema}"] if schema else []
+    lines.append("\t".join(columns))
+    lines += map("\t".join, zip(*map(cells_by_repr, columns.values())))
+    return "\n".join(lines) + "\n"

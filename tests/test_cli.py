@@ -506,6 +506,123 @@ class TestRecordsWriter:
         assert len(text.splitlines()) == 2
 
 
+def edge_doubles(rng) -> np.ndarray:
+    """About 1.1e6 doubles, both signs, around every edge of ``repr``'s shortest decimal.
+
+    Every binade from 1e-5 to 1e17, the powers of two and their neighbours,
+    the 40 doubles on each side of each power of ten from 1e-6 to 1e18 (1e-4
+    and 1e16 among them), integers near 2^53, short decimals, exact 16-digit ties (j + 1/4
+    and j + 3/4 in [2^49, 1e15), where ``repr`` rounds half to even),
+    subnormals, random bit patterns, +-0, +-inf and nan.
+    """
+    binades = np.arange(math.floor(math.log2(1e-5)), math.ceil(math.log2(1e17)))
+    tens = np.array([float(f"1e{k}") for k in range(-6, 19)])
+    short = 10.0 ** rng.uniform(-4, 16, 50_000)
+    digits = 10.0 ** rng.integers(0, 17, len(short))
+    ties = rng.integers(2**49, 10**15, 20_000).astype(np.float64)
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    parts = [
+        np.ldexp(1.0 + rng.random((len(binades), 5000)), binades[:, None]).ravel(),
+        powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+        (tens.view(np.int64)[:, None] + np.arange(-40, 41)).ravel().view(np.float64),
+        2.0**53 + np.arange(-20_000, 20_000, dtype=np.float64),
+        np.rint(short * digits) / digits,
+        ties + 0.25, ties + 0.75,
+        rng.integers(1, 2**52, 5_000).view(np.float64),
+        rng.integers(0, 2**63, 20_000).view(np.float64),
+        np.array([0.0, math.inf, math.nan]),
+    ]
+    values = np.concatenate(parts)
+    return np.concatenate([values, -values])
+
+
+def assert_reprs(values: np.ndarray, chunk: int = 1 << 16) -> None:
+    """The float cells of ``values`` are their ``repr``s, checked a chunk at a time."""
+    for start in range(0, len(values), chunk):
+        part = values[start : start + chunk]
+        got = cli._rows([cli._cells(part)])
+        want = "".join(f"{v!r}\n" for v in part.tolist())
+        if got != want:
+            bad = next(i for i, (g, w) in enumerate(zip(got.split(), want.split())) if g != w)
+            raise AssertionError(f"{part[bad]!r}: cell {got.split()[bad]!r}, repr {want.split()[bad]!r}")
+
+
+class TestCells:
+    def test_float_cells_are_reprs(self):
+        values = edge_doubles(np.random.default_rng(20))
+        assert len(values) > 10**6
+        assert_reprs(values)
+
+    def test_ties_are_settled_half_to_even(self):
+        # |x| * 10 ends in 5 exactly and both 16-digit neighbours read back as x
+        values = np.array([562949953421312.25, 562949953421312.75, 999999999999999.75])
+        assert cli._rows([cli._cells(values)]) == "".join(f"{v!r}\n" for v in values.tolist())
+        assert [repr(v)[-1] for v in values.tolist()] == ["2", "8", "8"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    def test_any_floats_are_reprs(self, values):
+        assert cli._table({"x": np.array(values)}) == oracles.table_by_repr({"x": values})
+
+    def test_raising_the_margin_settles_every_row_by_repr(self, monkeypatch):
+        values = edge_doubles(np.random.default_rng(21))[::50]
+        want = cli._rows([cli._cells(values)])
+        settled = []
+        monkeypatch.setattr(cli, "repr", lambda v: settled.append(v) or repr(v), raising=False)
+        monkeypatch.setattr(cli, "SETTLE_MARGIN", math.inf)
+        same = cli._rows([cli._cells(values)]) == want  # not compared by pytest: a long diff
+        assert same and len(settled) == len(values)
+
+    def test_task_b_phases_rarely_need_repr(self, monkeypatch):
+        values = np.random.default_rng(22).uniform(0.0, 2 * math.pi, 100_000)
+        settled = []
+        monkeypatch.setattr(cli, "repr", lambda v: settled.append(v) or repr(v), raising=False)
+        assert_reprs(values)
+        assert len(settled) < 50  # below 1e-4 and the rare edge rows
+
+    def test_int_cells(self):
+        rng = np.random.default_rng(23)
+        wide = rng.integers(-(2**63), 2**63 - 1, 5000, dtype=np.int64) >> rng.integers(0, 63, 5000)
+        columns = {
+            "extremes": np.array([-(2**63), 2**63 - 1, 0, -1, 1, 10**18, -(10**18), 9999]),
+            "negative": np.array([-5, -10, -100, -9999, -10000, -7, -1, -123456789]),
+            "flags": np.array([True, False, True, True, False, False, True, False]),
+            "small": np.arange(8),
+        }
+        assert cli._table(columns) == oracles.table_by_repr(columns)
+        assert cli._table({"wide": wide}) == oracles.table_by_repr({"wide": wide})
+
+    def test_text_cells(self):
+        columns = {"key": ["", "naïve", "π/4", "日本語", "a b"], "value": ["x", "", "", "é", "0"]}
+        assert cli._table(columns, "qccp-text") == oracles.table_by_repr(columns, "qccp-text")
+
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            {"x": [0.5], "n": [3], "t": ["one"], "b": [False]},
+            {"x": [0.1, -2.0, 3e-5, 1e300]},
+            {"n": range(3)},
+            {"t": ["only"]},
+        ],
+        ids=["one-row", "one-float-column", "one-int-column", "one-cell"],
+    )
+    def test_small_tables(self, columns):
+        assert cli._table(columns) == oracles.table_by_repr(columns)
+
+    def test_key_value_reports(self):
+        payload = {
+            "schema": "qccp-experiment-v1", "task": "B", "eta": 0.8, "n_parties": 5,
+            "sigma_violation": None, "matches_closed_form": True, "p_hat": 0.6690196078431373,
+            "argmax_tables": [[1, -1], [-1, 1]], "ratio": 1e-05, "window": 0.0002,
+        }
+        table = cli._key_values(payload)
+        assert cli._table(table) == oracles.table_by_repr(table)
+
+    def test_blocks_give_one_field_per_column(self):
+        blocks = [cli._cells(np.array([[1, -2], [30, 4]])), cli._cells(np.array([[0.5], [1e16]]))]
+        assert cli._rows(blocks) == "1\t-2\t0.5\n30\t4\t1e+16\n"
+
+
 def test_reused_parser_answers_as_a_fresh_one(capsys, tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text("parties = 3\ntree = star\n")

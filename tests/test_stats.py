@@ -72,6 +72,11 @@ class TestSuccessStats:
         with pytest.raises(ValueError, match="sigma"):
             SuccessStats(n=10, successes=5, sigma=sigma)
 
+    @pytest.mark.parametrize("sigma", [math.inf, -math.inf])
+    def test_quoted_sigma_must_be_finite(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be non-negative and finite"):
+            SuccessStats(n=10, successes=5, sigma=sigma)
+
     @given(st.integers(1, 2000), st.data())
     def test_wald_formula(self, n, data):
         successes = data.draw(st.integers(0, n))
@@ -117,6 +122,11 @@ class TestWilson:
     def test_degenerate_counts_stay_bounded(self):
         lo, hi = wilson_interval(SuccessStats.from_counts(50, 50), z=2.0)
         assert hi <= 1.0 and lo < 1.0
+
+    @pytest.mark.parametrize("z", [-1.0, 0.0, -0.0, math.nan, math.inf])
+    def test_z_must_be_positive_and_finite(self, z):
+        with pytest.raises(ValueError, match="z must be positive"):
+            wilson_interval(SuccessStats.from_counts(100, 70), z=z)
 
 
 class TestBlockHistogram:

@@ -137,6 +137,37 @@ class TestTaskValue:
         with pytest.raises(ValueError, match=message):
             call()
 
+    @pytest.mark.parametrize(
+        "task, reduced, message",
+        [
+            (Task.A, False, "0..3"),
+            (Task.A, True, "bits"),
+            (Task.B, False, re.escape("[0, 2*pi)")),
+            (Task.B, True, re.escape("[0, pi)")),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            np.array([[0.5j, 0]]),  # real parts in every domain
+            np.array([[0j, 0j]]),
+            np.array([["0", "1"]]),
+            np.array([[0, 1]], dtype=object),
+        ],
+        ids=["complex", "complex-zero", "text", "object"],
+    )
+    def test_non_numeric_arrays_are_refused(self, task, reduced, message, rows):
+        with pytest.raises(ValueError, match=message):
+            check_domain(task, rows, reduced=reduced)
+
+    @pytest.mark.parametrize(
+        "task, rows",
+        [(Task.A, [[2 + 0.5j, 0]]), (Task.B, [[1 + 5j, 0.5]]), (Task.A, [["2", "0"]])],
+    )
+    def test_complex_and_text_targets_are_refused(self, task, rows):
+        with pytest.raises(ValueError, match="task . inputs|task A digits"):
+            task_value_batch(task, np.array(rows))
+
     @given(st.lists(st.integers(0, 3), min_size=1, max_size=8))
     def test_task_a_is_permutation_invariant(self, digits):
         if sum(digits) % 2:
