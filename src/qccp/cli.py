@@ -499,16 +499,19 @@ def write_records_tsv(path: Path, chunks, seed: int) -> None:
     """One row per window; chunks are (stream_id, runs) pairs in order.
 
     Rows are written RECORDS_BLOCK_ROWS at a time, so the log is never held
-    in memory as one string.  A block's window index, seed, stream and
-    per-window columns are one (rows, 9) int block, its inputs a (rows, N)
-    block; each becomes one cell array (see :func:`_cells`), and
-    :func:`_rows` lays them out as the block's rows.  Blocks of 1024 rows
-    keep a block's temporaries near a megabyte; blocks of 2048 to 8192 rows
-    wrote a preset-B log at most 10 % faster.
+    in memory as one string.  A block's window index is one int column, its
+    stream and per-window columns one (rows, 7) int block, its inputs a
+    (rows, N) block; each becomes one cell array (see :func:`_cells`), and
+    :func:`_rows` lays them out as the block's rows.  The seed may be any
+    non-negative int, wider than int64, so its one cell is made once from
+    its decimal text.  Blocks of 1024 rows keep a block's temporaries near a
+    megabyte; blocks of 2048 to 8192 rows wrote a preset-B log at most 10 %
+    faster.
     """
     n = chunks[0][1].inputs.shape[1]
     names = Run._fields[1:]  # the inputs come last, one column per party
     header = ["window", "seed", "stream", *names] + [f"input_{k+1}" for k in range(n)]
+    seed_cell = _cells(np.array([str(seed)]))
     first = 0
     with open(path, "w") as fh:
         fh.write(f"# schema: {RECORDS_SCHEMA}\n" + "\t".join(header) + "\n")
@@ -518,10 +521,11 @@ def write_records_tsv(path: Path, chunks, seed: int) -> None:
                 inputs = runs.inputs[start : start + RECORDS_BLOCK_ROWS]
                 window = np.arange(first + start, first + start + len(inputs))
                 ints = np.column_stack(
-                    [window, np.full(len(inputs), seed), np.full(len(inputs), stream_id)]
+                    [np.full(len(inputs), stream_id)]
                     + [c[start : start + RECORDS_BLOCK_ROWS] for c in columns]
                 )
-                fh.write(_rows([_cells(ints), _cells(inputs)]))
+                seeds = np.repeat(seed_cell, len(inputs))
+                fh.write(_rows([_cells(window), seeds, _cells(ints), _cells(inputs)]))
             first += len(runs)
 
 

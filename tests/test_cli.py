@@ -497,6 +497,23 @@ class TestRecordsWriter:
         oracles.records_tsv_by_row(tmp_path / "rows.tsv", chunks, seed)
         assert (tmp_path / "columns.tsv").read_bytes() == (tmp_path / "rows.tsv").read_bytes()
 
+    @pytest.mark.parametrize("seed", [2**63 - 1, 2**63, 2**64 - 1, 2**64, 10**30])
+    def test_seeds_wider_than_int64_are_written_exactly(self, tmp_path, seed):
+        rng = np.random.default_rng(3)
+        chunks = [(0, hand_built_runs(6, 3, True, rng)), (1, hand_built_runs(4, 3, False, rng))]
+        cli.write_records_tsv(tmp_path / "columns.tsv", chunks, seed)
+        oracles.records_tsv_by_row(tmp_path / "rows.tsv", chunks, seed)
+        assert (tmp_path / "columns.tsv").read_bytes() == (tmp_path / "rows.tsv").read_bytes()
+
+    def test_a_wide_seed_from_the_command_line(self, capsys, tmp_path):
+        out, seed = tmp_path / "run.json", 2**64 + 5
+        argv = ["experiment", "--task", "A", "--n-target", "30", "--seed", str(seed), "--out", str(out)]
+        assert run_cli(capsys, *argv)[0] == 0
+        rows = (tmp_path / "run.json.records.tsv").read_text().splitlines()[2:]
+        assert rows and [row.split("\t")[:3] for row in rows] == [
+            [str(i), str(seed), "0"] for i in range(len(rows))
+        ]
+
     def test_zero_windows_write_the_header_only(self, tmp_path):
         chunks = [(0, hand_built_runs(0, 5, True, np.random.default_rng(0)))]
         cli.write_records_tsv(tmp_path / "columns.tsv", chunks, 7)
