@@ -19,17 +19,20 @@ a column at a time with numpy: :func:`_float_cells` finds each float's
 ``repr`` writes in exponent form) to ``repr`` itself.  A different records
 float format would change ``_cells`` and nothing else.  :func:`_rows` lays
 cells out as TSV rows for :func:`_table`, which builds every table but the
-records log, and for the streamed records log; every report goes to its
-file or stdout through :func:`_write`.
+records log, and for the streamed records log.  Every report goes to
+stdout or through :func:`_write` to its file, and every output file, the
+records log included, is opened by :func:`_open_out` alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
 import os
+import stat
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -291,10 +294,46 @@ def _key_values(payload: dict) -> dict:
     return {"key": keys, "value": [repr(payload[k]) for k in keys]}
 
 
+@contextlib.contextmanager
+def _open_out(path):
+    """The text file every output is written through, rewritten in place.
+
+    The file is opened without truncation (a new one gets mode 0o666 less
+    the umask, as ``open(path, "w")`` gives) and, on exit by return or by
+    exception, flushed and cut at the position written: truncating a
+    non-empty file to zero and filling it again costs several times what
+    overwriting it does.  A non-regular target (``/dev/null``, a pipe, a
+    tty) is written as a stream and never cut.  An ``OSError`` raised while
+    the file is open that names no file is given ``path``, so write and
+    close errors name the file too.
+
+    The trade-off: a process killed mid-write can leave a regular file
+    holding the new prefix followed by the old tail, where truncation first
+    would leave the prefix alone.  A failure inside the process still
+    leaves only the prefix, because the cut runs on exceptions.
+    """
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "w") as fh:
+            try:
+                yield fh
+            finally:
+                try:
+                    fh.flush()
+                finally:
+                    if stat.S_ISREG(os.fstat(fd).st_mode):
+                        os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+    except OSError as exc:
+        if exc.filename is None:
+            exc.filename = os.fspath(path)
+        raise
+
+
 def _write(text: str, out) -> None:
     """Write ``text`` to the file ``out``, or to stdout when ``out`` is empty."""
     if out:
-        Path(out).write_text(text)
+        with _open_out(out) as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
 
@@ -513,7 +552,7 @@ def write_records_tsv(path: Path, chunks, seed: int) -> None:
     header = ["window", "seed", "stream", *names] + [f"input_{k+1}" for k in range(n)]
     seed_cell = _cells(np.array([str(seed)]))
     first = 0
-    with open(path, "w") as fh:
+    with _open_out(path) as fh:
         fh.write(f"# schema: {RECORDS_SCHEMA}\n" + "\t".join(header) + "\n")
         for stream_id, runs in chunks:
             columns = [getattr(runs, name) for name in names]

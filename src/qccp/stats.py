@@ -92,6 +92,8 @@ class Histogram:
         counts = np.asarray(self.counts, dtype=np.int64)
         if len(counts) != len(edges) - 1:
             raise ValueError("counts length must be edges length - 1")
+        if not np.isfinite(edges).all():
+            raise ValueError("bin edges must be finite")
         if np.any(np.diff(edges) <= 0):
             raise ValueError("bin edges must be strictly increasing")
         if self.block_size < 1:

@@ -811,6 +811,72 @@ def test_unwritable_output_is_a_usage_error(capsys, tmp_path, argv):
     assert f"error: cannot write {path}: {os.strerror(errno.ENOENT)}" in capsys.readouterr().err
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [["bounds"], ["experiment", "--task", "A", "--n-target", "10"]])
+def test_full_device_error_names_the_path(capsys, argv):
+    # the error comes from the write or the close, whose OSError carries no file name
+    assert main([*argv, "--out", "/dev/full"]) == 2
+    assert f"error: cannot write /dev/full: {os.strerror(errno.ENOSPC)}" in capsys.readouterr().err
+
+
+class TestRewrite:
+    """Every output file is rewritten in place and cut where its new text ends."""
+
+    @pytest.mark.parametrize("longer, shorter", [
+        (["certify", "--parties", "3"], ["certify", "--parties", "2"]),
+        (["experiment", "--task", "A", "--n-target", "300", "--block-size", "50", "--seed", "3"],
+         ["experiment", "--task", "A", "--n-target", "100", "--block-size", "50", "--seed", "3"]),
+    ])
+    def test_shorter_rerun_leaves_no_stale_tail(self, capsys, tmp_path, longer, shorter):
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        reused.mkdir()
+        fresh.mkdir()
+        assert main([*longer, "--out", str(reused / "r")]) == 0
+        before = {p.name: p.stat().st_size for p in reused.iterdir()}
+        assert main([*shorter, "--out", str(reused / "r")]) == 0
+        assert main([*shorter, "--out", str(fresh / "r")]) == 0
+        names = sorted(p.name for p in fresh.iterdir())
+        assert names == sorted(before)
+        assert all((fresh / n).stat().st_size < before[n] for n in names if "histogram" not in n)
+        for name in names:
+            assert (reused / name).read_bytes() == (fresh / name).read_bytes(), name
+
+    def test_rerun_keeps_inode_and_mode(self, capsys, tmp_path):
+        out = tmp_path / "r.json"
+        out.write_text("x" * 10_000)
+        out.chmod(0o600)
+        before = out.stat()
+        assert main(["certify", "--parties", "2", "--out", str(out)]) == 0
+        after = out.stat()
+        assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+        assert after.st_size < 10_000 and json.loads(out.read_text())
+
+    def test_non_regular_targets_are_streamed(self, capsys):
+        argv = ["optimize", "--parties", "2", "--grid", "8", "--restarts", "1"]
+        assert main([*argv, "--out", os.devnull, "--trace-out", os.devnull]) == 0
+
+    def test_a_failed_write_leaves_the_prefix_written(self, capsys, tmp_path, monkeypatch):
+        argv = ["experiment", "--task", "A", "--seed", "3"]
+        records = tmp_path / "r.records.tsv"
+        assert main([*argv, "--n-target", "2000", "--out", str(tmp_path / "r")]) == 0
+        assert main([*argv, "--n-target", "1000", "--out", str(tmp_path / "full")]) == 0
+        full = (tmp_path / "full.records.tsv").read_bytes()
+        assert records.stat().st_size > len(full) and full.count(b"\n") > 2 + cli.RECORDS_BLOCK_ROWS
+        rows, calls = cli._rows, []
+
+        def fail_second(blocks):
+            calls.append(None)
+            if len(calls) == 2:
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            return rows(blocks)
+
+        monkeypatch.setattr(cli, "_rows", fail_second)
+        assert main([*argv, "--n-target", "1000", "--out", str(tmp_path / "r")]) == 2
+        assert f"error: cannot write {records}: {os.strerror(errno.EIO)}" in capsys.readouterr().err
+        got = records.read_bytes()
+        assert got == full[: len(got)] and got.count(b"\n") == 2 + cli.RECORDS_BLOCK_ROWS
+
+
 @pytest.mark.parametrize("to_file", [False, True])
 def test_unwritable_trace_emits_no_report(capsys, tmp_path, to_file):
     trace = tmp_path / "missing" / "t.tsv"

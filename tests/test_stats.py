@@ -182,3 +182,8 @@ class TestBlockHistogram:
             Histogram(bin_edges=np.array([0.0, 1.0]), counts=np.array([1, 2]), block_size=5)
         with pytest.raises(ValueError):
             Histogram(bin_edges=np.array([0.0, 0.0]), counts=np.array([1]), block_size=5)
+
+    @pytest.mark.parametrize("edges", [[0.0, math.nan, 1.0], [0.0, math.inf], [-math.inf, 0.0]])
+    def test_histogram_refuses_non_finite_edges(self, edges):
+        with pytest.raises(ValueError, match="finite"):
+            Histogram(bin_edges=edges, counts=[1] * (len(edges) - 1), block_size=1)
