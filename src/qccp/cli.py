@@ -300,17 +300,24 @@ def _open_out(path):
 
     The file is opened without truncation (a new one gets mode 0o666 less
     the umask, as ``open(path, "w")`` gives) and, on exit by return or by
-    exception, flushed and cut at the position written: truncating a
-    non-empty file to zero and filling it again costs several times what
-    overwriting it does.  A non-regular target (``/dev/null``, a pipe, a
-    tty) is written as a stream and never cut.  An ``OSError`` raised while
-    the file is open that names no file is given ``path``, so write and
-    close errors name the file too.
+    exception, flushed and, when it is a regular file longer than what was
+    written, cut there: truncating a non-empty file to zero and filling it
+    again costs several times what overwriting it does (a rerun into an
+    existing file gains; a new path gains nothing).  A non-regular
+    target (``/dev/null``, a pipe, a tty) is written as a stream and never
+    cut.  An ``OSError`` that names no file is given ``path``, whether the
+    opener raised it or the code in the ``with`` block did: writes through
+    the file raise there, so a caller doing other I/O inside the block
+    must handle that I/O's errors itself.
 
-    The trade-off: a process killed mid-write can leave a regular file
-    holding the new prefix followed by the old tail, where truncation first
-    would leave the prefix alone.  A failure inside the process still
-    leaves only the prefix, because the cut runs on exceptions.
+    The trade-off is crash consistency.  Nothing is synced, and the new
+    text lands on the old file's pages.  A process killed mid-write can
+    leave the new prefix followed by the old tail; after a power loss or an
+    OS crash, a rewritten file can hold old and new pages mixed anywhere
+    and have either length.  Truncating first could, under ext4's default
+    journaling, leave the old file, an empty one or a prefix of the new
+    text, but not a mix of two runs.  A failure inside the process still
+    leaves only the new prefix, because the cut runs on exceptions.
     """
     try:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
@@ -321,8 +328,11 @@ def _open_out(path):
                 try:
                     fh.flush()
                 finally:
-                    if stat.S_ISREG(os.fstat(fd).st_mode):
-                        os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+                    file = os.fstat(fd)
+                    if stat.S_ISREG(file.st_mode):
+                        end = os.lseek(fd, 0, os.SEEK_CUR)
+                        if file.st_size > end:
+                            os.ftruncate(fd, end)
     except OSError as exc:
         if exc.filename is None:
             exc.filename = os.fspath(path)

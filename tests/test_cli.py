@@ -851,6 +851,12 @@ class TestRewrite:
         assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
         assert after.st_size < 10_000 and json.loads(out.read_text())
 
+    def test_a_new_file_gets_the_mode_open_gives(self, capsys, tmp_path):
+        assert main(["certify", "--parties", "2", "--out", str(tmp_path / "new.json")]) == 0
+        (tmp_path / "ref").open("w").close()
+        modes = [(tmp_path / n).stat().st_mode for n in ("new.json", "ref")]
+        assert modes[0] == modes[1]
+
     def test_non_regular_targets_are_streamed(self, capsys):
         argv = ["optimize", "--parties", "2", "--grid", "8", "--restarts", "1"]
         assert main([*argv, "--out", os.devnull, "--trace-out", os.devnull]) == 0
