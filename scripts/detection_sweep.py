@@ -10,9 +10,10 @@ Usage: python scripts/detection_sweep.py --task B --n-target 5000 --seed 7
 """
 
 import argparse
+from dataclasses import replace
 
 from qccp import (
-    ExperimentParams,
+    PRESETS,
     RandomStream,
     Task,
     classical_bound,
@@ -21,16 +22,17 @@ from qccp import (
     simulate_experiment,
     success_stats,
 )
+from qccp.cli import non_negative_int, positive_int
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--task", choices=["A", "B"], default="B")
-    parser.add_argument("--parties", type=int, default=5)
+    parser.add_argument("--parties", type=positive_int, default=5)
     parser.add_argument("--visibility", type=float, default=0.95)
-    parser.add_argument("--n-target", type=int, default=5000)
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--steps", type=int, default=9)
+    parser.add_argument("--n-target", type=positive_int, default=5000)
+    parser.add_argument("--seed", type=non_negative_int, default=7)
+    parser.add_argument("--steps", type=positive_int, default=9)
     args = parser.parse_args()
 
     task = Task(args.task)
@@ -41,10 +43,9 @@ def main() -> None:
     print("eta\tp_simulated\tsigma\tp_predicted\tsigma_over_bound")
     for i in range(args.steps):
         eta = (i + 1) / args.steps
-        params = ExperimentParams(
-            task=task, n_parties=args.parties, trigger_rate=5000.0,
-            window=200e-6, eta=eta, visibility=args.visibility,
-            n_target=args.n_target,
+        params = replace(
+            PRESETS[task.value], n_parties=args.parties, eta=eta,
+            visibility=args.visibility, n_target=args.n_target,
         )
         records = simulate_experiment(params, RandomStream(args.seed, i).generator())
         stats = success_stats(records)

@@ -25,7 +25,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import replay, sampling
-from .quantum import plus_probability
+from .quantum import _answers, _plus
 from .sampling import RandomStream
 from .tasks import Task, accept_below, task_value_batch
 
@@ -111,7 +111,7 @@ PRESETS: dict[str, ExperimentParams] = {
 
 
 class Run(NamedTuple):
-    """One window of a :class:`Runs` log as plain Python values; its fields give the column order."""
+    """One window of a :class:`Runs` log as plain Python values."""
 
     inputs: tuple
     trigger_count: int
@@ -397,9 +397,9 @@ def _simulate(params: ExperimentParams, rng: np.random.Generator, max_windows: i
         inputs = table[:windows, 3:].copy()
     truth = task_value_batch(params.task, inputs)
     detected = (counts == 1) & (u_det < params.eta)
-    p_plus = np.full(windows, 0.5)
-    p_plus[detected] = plus_probability(params.task, inputs[detected], params.visibility)
-    answer = np.where(u_ans < p_plus, 1, -1)
+    answer = np.where(u_ans < 0.5, 1, -1)
+    rows = (truth if task_a else inputs)[detected]  # task A's target is its exact coherence
+    answer[detected] = _answers(params.task, rows, u_ans[detected], _plus(params.visibility))
     return Runs(inputs, counts, detected, answer, truth)
 
 

@@ -96,16 +96,19 @@ def run_quantum_batch(
     Draws +-1 with P(+-) = (1 +- V cos(sum phases))/2, one ``rng.random``
     value per row, after the inputs and V are validated.  With V = 1 this is
     the ideal protocol (deterministic for task A); V = 0 is a fair coin.
-    Task B compares each uniform with P(+) through
-    :func:`qccp.tasks.accept_below`, which gives the answers of float64
-    cosines.
+    :func:`_answers`, which the experiment engine shares, decides them: task
+    B's through :func:`qccp.tasks.accept_below`, as float64 cosines would.
     """
     plus = _plus(visibility)
+    rows = coherence(task, inputs) if task is Task.A else check_domain(task, inputs)
+    return _answers(task, rows, rng.random(len(rows)), plus)
+
+
+def _answers(task: Task, rows: np.ndarray, u: np.ndarray, plus) -> np.ndarray:
+    """+1 where u < plus(cos(sum phases)), else -1, from task A's coherences or task B's phases."""
     if task is Task.A:
-        p = plus(coherence(task, inputs))
-        return np.where(rng.random(len(p)) < p, 1, -1)
-    arr = check_domain(task, inputs)
-    return np.where(accept_below(rng.random(len(arr)), arr, plus)[0], 1, -1)
+        return np.where(u < plus(rows), 1, -1)
+    return np.where(accept_below(u, rows, plus)[0], 1, -1)
 
 
 def run_quantum(task: Task, inputs: Sequence, visibility: float, rng: np.random.Generator) -> int:

@@ -89,17 +89,20 @@ class Histogram:
 
     def __post_init__(self):
         edges = np.asarray(self.bin_edges, dtype=float)
-        counts = np.asarray(self.counts, dtype=np.int64)
+        counts = np.asarray(self.counts)
         if len(counts) != len(edges) - 1:
             raise ValueError("counts length must be edges length - 1")
         if not np.isfinite(edges).all():
             raise ValueError("bin edges must be finite")
         if np.any(np.diff(edges) <= 0):
             raise ValueError("bin edges must be strictly increasing")
-        if self.block_size < 1:
-            raise ValueError("block_size must be >= 1")
+        whole = counts.dtype.kind in "biuf" and (counts == np.round(counts)).all()
+        if not (whole and (counts >= 0).all() and (counts < np.inf).all()):
+            raise ValueError(f"counts must be non-negative whole numbers, got {counts}")
+        if not isinstance(self.block_size, (int, np.integer)) or self.block_size < 1:
+            raise ValueError(f"block_size must be an integer >= 1, got {self.block_size!r}")
         object.__setattr__(self, "bin_edges", edges)
-        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "counts", counts.astype(np.int64))
 
     @property
     def n_blocks(self) -> int:

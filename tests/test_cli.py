@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import oracles
 from qccp import (
     PRESETS, Runs, Task, WindowChoice, classical_bound, cli, optimize_window, quantum,
-    success_stats, visibility_from_gamma,
+    success_stats, tsv, visibility_from_gamma,
 )
 from qccp.cli import main
 
@@ -486,14 +486,14 @@ class TestRecordsWriter:
     @pytest.mark.parametrize("seed", [0, 2**40])
     def test_bytes_equal_the_row_writer(self, tmp_path, n, floats, seed):
         rng = np.random.default_rng([n, floats, seed])
-        block = cli.RECORDS_BLOCK_ROWS
+        block = tsv.RECORDS_BLOCK_ROWS
         chunks = [
             (0, hand_built_runs(block + 5, n, floats, rng)),  # past one block
             (1, hand_built_runs(3, n, floats, rng)),  # short of one block
             (2, hand_built_runs(0, n, floats, rng)),  # no windows
             (3, hand_built_runs(7, n, floats, rng, wide=True)),
         ]
-        cli.write_records_tsv(tmp_path / "columns.tsv", chunks, seed)
+        tsv.write_records_tsv(tmp_path / "columns.tsv", chunks, seed)
         oracles.records_tsv_by_row(tmp_path / "rows.tsv", chunks, seed)
         assert (tmp_path / "columns.tsv").read_bytes() == (tmp_path / "rows.tsv").read_bytes()
 
@@ -501,7 +501,7 @@ class TestRecordsWriter:
     def test_seeds_wider_than_int64_are_written_exactly(self, tmp_path, seed):
         rng = np.random.default_rng(3)
         chunks = [(0, hand_built_runs(6, 3, True, rng)), (1, hand_built_runs(4, 3, False, rng))]
-        cli.write_records_tsv(tmp_path / "columns.tsv", chunks, seed)
+        tsv.write_records_tsv(tmp_path / "columns.tsv", chunks, seed)
         oracles.records_tsv_by_row(tmp_path / "rows.tsv", chunks, seed)
         assert (tmp_path / "columns.tsv").read_bytes() == (tmp_path / "rows.tsv").read_bytes()
 
@@ -516,7 +516,7 @@ class TestRecordsWriter:
 
     def test_zero_windows_write_the_header_only(self, tmp_path):
         chunks = [(0, hand_built_runs(0, 5, True, np.random.default_rng(0)))]
-        cli.write_records_tsv(tmp_path / "columns.tsv", chunks, 7)
+        tsv.write_records_tsv(tmp_path / "columns.tsv", chunks, 7)
         oracles.records_tsv_by_row(tmp_path / "rows.tsv", chunks, 7)
         text = (tmp_path / "columns.tsv").read_text()
         assert text == (tmp_path / "rows.tsv").read_text()
@@ -557,7 +557,7 @@ def assert_reprs(values: np.ndarray, chunk: int = 1 << 16) -> None:
     """The float cells of ``values`` are their ``repr``s, checked a chunk at a time."""
     for start in range(0, len(values), chunk):
         part = values[start : start + chunk]
-        got = cli._rows([cli._cells(part)])
+        got = tsv._rows([tsv._cells(part)])
         want = "".join(f"{v!r}\n" for v in part.tolist())
         if got != want:
             bad = next(i for i, (g, w) in enumerate(zip(got.split(), want.split())) if g != w)
@@ -573,27 +573,27 @@ class TestCells:
     def test_ties_are_settled_half_to_even(self):
         # |x| * 10 ends in 5 exactly and both 16-digit neighbours read back as x
         values = np.array([562949953421312.25, 562949953421312.75, 999999999999999.75])
-        assert cli._rows([cli._cells(values)]) == "".join(f"{v!r}\n" for v in values.tolist())
+        assert tsv._rows([tsv._cells(values)]) == "".join(f"{v!r}\n" for v in values.tolist())
         assert [repr(v)[-1] for v in values.tolist()] == ["2", "8", "8"]
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(), min_size=1, max_size=40))
     def test_any_floats_are_reprs(self, values):
-        assert cli._table({"x": np.array(values)}) == oracles.table_by_repr({"x": values})
+        assert tsv._table({"x": np.array(values)}) == oracles.table_by_repr({"x": values})
 
     def test_raising_the_margin_settles_every_row_by_repr(self, monkeypatch):
         values = edge_doubles(np.random.default_rng(21))[::50]
-        want = cli._rows([cli._cells(values)])
+        want = tsv._rows([tsv._cells(values)])
         settled = []
-        monkeypatch.setattr(cli, "repr", lambda v: settled.append(v) or repr(v), raising=False)
-        monkeypatch.setattr(cli, "SETTLE_MARGIN", math.inf)
-        same = cli._rows([cli._cells(values)]) == want  # not compared by pytest: a long diff
+        monkeypatch.setattr(tsv, "repr", lambda v: settled.append(v) or repr(v), raising=False)
+        monkeypatch.setattr(tsv, "SETTLE_MARGIN", math.inf)
+        same = tsv._rows([tsv._cells(values)]) == want  # not compared by pytest: a long diff
         assert same and len(settled) == len(values)
 
     def test_task_b_phases_rarely_need_repr(self, monkeypatch):
         values = np.random.default_rng(22).uniform(0.0, 2 * math.pi, 100_000)
         settled = []
-        monkeypatch.setattr(cli, "repr", lambda v: settled.append(v) or repr(v), raising=False)
+        monkeypatch.setattr(tsv, "repr", lambda v: settled.append(v) or repr(v), raising=False)
         assert_reprs(values)
         assert len(settled) < 50  # below 1e-4 and the rare edge rows
 
@@ -606,12 +606,12 @@ class TestCells:
             "flags": np.array([True, False, True, True, False, False, True, False]),
             "small": np.arange(8),
         }
-        assert cli._table(columns) == oracles.table_by_repr(columns)
-        assert cli._table({"wide": wide}) == oracles.table_by_repr({"wide": wide})
+        assert tsv._table(columns) == oracles.table_by_repr(columns)
+        assert tsv._table({"wide": wide}) == oracles.table_by_repr({"wide": wide})
 
     def test_text_cells(self):
         columns = {"key": ["", "naïve", "π/4", "日本語", "a b"], "value": ["x", "", "", "é", "0"]}
-        assert cli._table(columns, "qccp-text") == oracles.table_by_repr(columns, "qccp-text")
+        assert tsv._table(columns, "qccp-text") == oracles.table_by_repr(columns, "qccp-text")
 
     @pytest.mark.parametrize(
         "columns",
@@ -624,7 +624,7 @@ class TestCells:
         ids=["one-row", "one-float-column", "one-int-column", "one-cell"],
     )
     def test_small_tables(self, columns):
-        assert cli._table(columns) == oracles.table_by_repr(columns)
+        assert tsv._table(columns) == oracles.table_by_repr(columns)
 
     def test_key_value_reports(self):
         payload = {
@@ -632,12 +632,12 @@ class TestCells:
             "sigma_violation": None, "matches_closed_form": True, "p_hat": 0.6690196078431373,
             "argmax_tables": [[1, -1], [-1, 1]], "ratio": 1e-05, "window": 0.0002,
         }
-        table = cli._key_values(payload)
-        assert cli._table(table) == oracles.table_by_repr(table)
+        table = tsv._key_values(payload)
+        assert tsv._table(table) == oracles.table_by_repr(table)
 
     def test_blocks_give_one_field_per_column(self):
-        blocks = [cli._cells(np.array([[1, -2], [30, 4]])), cli._cells(np.array([[0.5], [1e16]]))]
-        assert cli._rows(blocks) == "1\t-2\t0.5\n30\t4\t1e+16\n"
+        blocks = [tsv._cells(np.array([[1, -2], [30, 4]])), tsv._cells(np.array([[0.5], [1e16]]))]
+        assert tsv._rows(blocks) == "1\t-2\t0.5\n30\t4\t1e+16\n"
 
 
 def test_reused_parser_answers_as_a_fresh_one(capsys, tmp_path):
@@ -867,8 +867,8 @@ class TestRewrite:
         assert main([*argv, "--n-target", "2000", "--out", str(tmp_path / "r")]) == 0
         assert main([*argv, "--n-target", "1000", "--out", str(tmp_path / "full")]) == 0
         full = (tmp_path / "full.records.tsv").read_bytes()
-        assert records.stat().st_size > len(full) and full.count(b"\n") > 2 + cli.RECORDS_BLOCK_ROWS
-        rows, calls = cli._rows, []
+        assert records.stat().st_size > len(full) and full.count(b"\n") > 2 + tsv.RECORDS_BLOCK_ROWS
+        rows, calls = tsv._rows, []
 
         def fail_second(blocks):
             calls.append(None)
@@ -876,11 +876,11 @@ class TestRewrite:
                 raise OSError(errno.EIO, os.strerror(errno.EIO))
             return rows(blocks)
 
-        monkeypatch.setattr(cli, "_rows", fail_second)
+        monkeypatch.setattr(tsv, "_rows", fail_second)
         assert main([*argv, "--n-target", "1000", "--out", str(tmp_path / "r")]) == 2
         assert f"error: cannot write {records}: {os.strerror(errno.EIO)}" in capsys.readouterr().err
         got = records.read_bytes()
-        assert got == full[: len(got)] and got.count(b"\n") == 2 + cli.RECORDS_BLOCK_ROWS
+        assert got == full[: len(got)] and got.count(b"\n") == 2 + tsv.RECORDS_BLOCK_ROWS
 
 
 @pytest.mark.parametrize("to_file", [False, True])

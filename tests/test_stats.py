@@ -183,6 +183,13 @@ class TestBlockHistogram:
         with pytest.raises(ValueError):
             Histogram(bin_edges=np.array([0.0, 0.0]), counts=np.array([1]), block_size=5)
 
+    @pytest.mark.parametrize("counts, block_size, match", [
+        ([-3], 1, "counts"), ([1.7], 1, "counts"), ([1], 1.5, "block_size"),
+    ])
+    def test_histogram_refuses_bad_counts_and_block_size(self, counts, block_size, match):
+        with pytest.raises(ValueError, match=match):
+            Histogram(bin_edges=[0.0, 1.0], counts=counts, block_size=block_size)
+
     @pytest.mark.parametrize("edges", [[0.0, math.nan, 1.0], [0.0, math.inf], [-math.inf, 0.0]])
     def test_histogram_refuses_non_finite_edges(self, edges):
         with pytest.raises(ValueError, match="finite"):
