@@ -37,7 +37,10 @@ def main() -> None:
 
     task = Task(args.task)
     bound = classical_bound(task, args.parties).success
-    gamma = gamma_from_visibility(task, args.visibility)
+    try:
+        gamma = gamma_from_visibility(task, args.visibility)
+    except ValueError as exc:
+        parser.error(f"argument --visibility: {exc}")
     print(f"# task {task.value}, N={args.parties}, V={args.visibility}, "
           f"gamma={gamma:.4f}, classical bound {bound:.4f}")
     print("eta\tp_simulated\tsigma\tp_predicted\tsigma_over_bound")

@@ -37,7 +37,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .sampling import enumerate_a, sample_inputs
+from .sampling import enumerate_a, sample_inputs, whole_count
 from .tasks import Task, check_domain, norm_b, row_blocks, task_value_batch
 
 BRUTE_FORCE_MAX_PARTIES = 4
@@ -296,6 +296,7 @@ def fidelity_mc(
 
     All n_samples input rows are drawn in one batch and answered together.
     """
+    n_samples = whole_count("n_samples", n_samples)
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     wants = _task_of(protocol)

@@ -10,11 +10,12 @@ meant to split work.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tasks import Task, accept_below, row_sum
+from .tasks import ROW_BLOCK, Task, accept_below, row_sum
 
 MAX_ENUM_PARTIES = 10
 DEFAULT_MAX_REJECTION_ROUNDS = 10_000
@@ -33,6 +34,14 @@ class RandomStream:
         return np.random.default_rng(seq)
 
 
+def whole_count(name: str, value) -> int:
+    """``value`` as an int, as ``operator.index`` takes it; a TypeError naming ``name`` if not."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 def sample_a(n_parties: int, rng: np.random.Generator, size: int) -> np.ndarray:
     """Draw ``size`` uniform even-sum quaternary tuples, as a (size, N) int array.
 
@@ -42,6 +51,7 @@ def sample_a(n_parties: int, rng: np.random.Generator, size: int) -> np.ndarray:
     """
     if n_parties < 1:
         raise ValueError("n_parties must be >= 1")
+    size = whole_count("size", size)
     if size < 0:
         raise ValueError(f"size must be >= 0, got {size}")
     out = np.empty((size, n_parties), dtype=np.int64)
@@ -54,23 +64,63 @@ def sample_a(n_parties: int, rng: np.random.Generator, size: int) -> np.ndarray:
 def _propose_b(n_parties: int, rng: np.random.Generator, count: int, limit: int | None = None):
     """One rejection round: uniform proposals and their accepted subset.
 
-    Draws ``count`` rows of N doubles, then ``count`` acceptance doubles.
-    ``random`` scaled in place by 2 pi gives the same bits as
-    ``uniform(0, 2 pi)``, which computes 0 + 2 pi * u, and leaves the
-    generator in the same state; :class:`qccp.experiment._Walk` replays
-    exactly these words.  Each proposal is kept when its acceptance double
-    is below |cos| of its row sum, decided block by block by
-    :func:`qccp.tasks.accept_below` exactly as with float64 cosines.  Only
-    the first ``limit`` accepted rows are returned, when one is given; the
-    draws do not depend on it.
+    The round's words are ``count`` rows of N doubles, then ``count``
+    acceptance doubles.  ``random`` scaled in place by 2 pi gives the same
+    bits as ``uniform(0, 2 pi)``, which computes 0 + 2 pi * u;
+    :class:`qccp.experiment._Walk` replays exactly these words.  The round
+    runs ROW_BLOCK rows at a time through one reused buffer: a block's
+    proposals come from ``rng`` and its acceptance doubles from a copy of
+    ``rng`` moved ahead by count * N doubles (:func:`_skip`), so no array
+    of the whole round is made.  Each proposal is kept when its acceptance
+    double is below |cos| of its row sum, decided by
+    :func:`qccp.tasks.accept_below` exactly as with float64 cosines, and
+    the kept rows are copied into the result as they come.  Only the first
+    ``limit`` accepted rows are returned, when one is given; the round
+    stops deciding once it holds them, and ``rng`` still ends in the state
+    that the whole round leaves.
     """
-    proposals = rng.random((count, n_parties))
-    proposals *= 2.0 * math.pi
-    # no name holds the acceptance uniforms, so they are freed before np.compress allocates
-    keep, _ = accept_below(rng.random(count), proposals, np.abs)
-    if limit is not None and np.count_nonzero(keep) > limit:
-        keep = keep[: np.flatnonzero(keep)[limit]]  # cut just before acceptance limit + 1
-    return np.compress(keep, proposals, axis=0)
+    ahead = np.random.Generator(type(rng.bit_generator)(0))  # the seed is overwritten at once
+    ahead.bit_generator.state = rng.bit_generator.state
+    block = np.empty((max(1, min(count, ROW_BLOCK)), n_parties))  # _skip steps by its size
+    _skip(ahead, count * n_parties, block)
+    out = np.empty((count if limit is None else min(count, limit), n_parties))
+    got = decided = 0
+    while decided < count and got < len(out):
+        proposals = block[: count - decided]
+        rng.random(out=proposals)
+        proposals *= 2.0 * math.pi
+        keep, _ = accept_below(ahead.random(len(proposals)), proposals, np.abs)
+        kept = np.count_nonzero(keep)
+        if kept > len(out) - got:
+            kept = len(out) - got
+            keep = keep[: np.flatnonzero(keep)[kept]]  # cut just before acceptance kept + 1
+        np.compress(keep, proposals, axis=0, out=out[got : got + kept])
+        got += kept
+        decided += len(proposals)
+    _skip(ahead, count - decided, block)
+    rng.bit_generator.state = ahead.bit_generator.state
+    if got < len(out):
+        out.resize((got, n_parties), refcheck=False)  # gives back the tail; no view of out is left
+    return out
+
+
+def _skip(rng: np.random.Generator, doubles: int, block: np.ndarray) -> None:
+    """Move ``rng`` ahead by ``doubles`` calls of ``random``, as if they were drawn.
+
+    PCG64 and PCG64DXSM jump with ``advance`` (one word per double), which
+    also clears the spare 32-bit word that ``integers`` can leave in the
+    state; ``random`` never touches that word, so it is carried over.
+    Other generators draw and drop the doubles, ``block`` at a time.
+    """
+    bits = rng.bit_generator
+    if isinstance(bits, (np.random.PCG64, np.random.PCG64DXSM)):
+        before = bits.state
+        bits.advance(doubles)
+        bits.state = {**bits.state, "has_uint32": before["has_uint32"], "uinteger": before["uinteger"]}
+        return
+    flat = block.reshape(-1)
+    for lo in range(0, doubles, len(flat)):
+        rng.random(out=flat[: doubles - lo])
 
 
 def sample_b(
@@ -90,6 +140,7 @@ def sample_b(
     """
     if n_parties < 1:
         raise ValueError("n_parties must be >= 1")
+    size = whole_count("size", size)
     if size < 0:
         raise ValueError(f"size must be >= 0, got {size}")
     chunks = [np.empty((0, n_parties))]  # size=0 draws nothing and still concatenates

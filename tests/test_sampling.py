@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats as sps
 
-from qccp import RandomStream, Task, enumerate_a, sample_a, sample_b
+from qccp import (
+    CommTree, ProductStrategyA, RandomStream, Task, enumerate_a, fidelity_mc, sample_a, sample_b,
+)
 from qccp.quantum import run_quantum_batch
 from qccp.sampling import _propose_b, proposals_per_round
 from qccp import tasks
@@ -54,6 +57,48 @@ def test_negative_size_is_refused_before_any_draw(sampler):
     with pytest.raises(ValueError, match="size must be >= 0, got -5"):
         sampler(3, rng, size=-5)
     assert rng.bit_generator.state == before
+
+
+def test_non_integer_sizes_are_refused_by_name():
+    rng = RandomStream(3, 0).generator()
+    before = rng.bit_generator.state
+    for sampler in (sample_a, sample_b):
+        with pytest.raises(TypeError, match="size must be an integer, got 2.5"):
+            sampler(5, rng, 2.5)
+    with pytest.raises(TypeError, match="n_samples must be an integer, got 10.5"):
+        fidelity_mc(ProductStrategyA([[1, -1], [1, 1]]), CommTree.chain(2), Task.A, 10.5, rng)
+    assert rng.bit_generator.state == before
+    assert sample_a(5, rng, np.int64(3)).shape == sample_b(5, rng, np.uint8(3)).shape == (3, 5)
+
+
+BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64, np.random.Philox,
+                  np.random.MT19937]
+
+
+# every bit generator with and without a spare 32-bit word, but for PCG64 without
+# one: that is RandomStream's generator, which the unsuffixed tests take
+JUMP_CASES = [
+    pytest.param(g, spare, id=f"{g.__name__}-{'spare' if spare else 'clean'}")
+    for g in BIT_GENERATORS for spare in (False, True) if (g, spare) != (np.random.PCG64, False)
+]
+
+
+def generator_pair(bit_generator, seed: int, stream: int, spare: bool):
+    """Two equal generators of one kind; with ``spare``, after a draw that leaves a spare 32-bit word."""
+    pair = []
+    for _ in range(2):
+        rng = np.random.Generator(bit_generator(np.random.SeedSequence(seed, spawn_key=(stream,))))
+        if spare:
+            rng.integers(0, 4, 3)
+        pair.append(rng)
+    return pair
+
+
+def same_state(a, b) -> bool:
+    """Equal bit generator states; SFC64's and MT19937's hold arrays, compared element by element."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
 
 
 class TestSampleA:
@@ -177,18 +222,48 @@ class TestSampleB:
     def test_matches_the_uniform_sampler(self, n, size):
         # the column kernel draws random() * 2 pi in place of uniform(0, 2 pi)
         # and scores in row blocks: the same rows and the same generator state
-        rng, oracle = RandomStream(41, n).generator(), RandomStream(41, n).generator()
+        self._check_sampler(n, size, *generator_pair(np.random.PCG64, 41, n, spare=False))
+
+    @pytest.mark.parametrize("bit_generator, spare", JUMP_CASES)
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    @pytest.mark.parametrize("size", [0, 1, 17, 100_000])
+    def test_matches_the_uniform_sampler_on_every_bit_generator(self, n, size, bit_generator, spare):
+        self._check_sampler(n, size, *generator_pair(bit_generator, 41, n, spare))
+
+    @staticmethod
+    def _check_sampler(n, size, rng, oracle):
         got, want = sample_b(n, rng, size=size), sample_b_uniform(n, oracle, size)
         assert got.shape == want.shape == (size, n)
         assert got.tobytes() == want.tobytes()
-        assert rng.bit_generator.state == oracle.bit_generator.state
+        assert same_state(rng.bit_generator.state, oracle.bit_generator.state)
 
     @pytest.mark.parametrize("count", [1, 16, 8191, 8192, 8193, 40_000])
     def test_one_round_matches_the_uniform_round(self, count):
         # counts around one block of rows, and several blocks
-        rng, oracle = RandomStream(43, count).generator(), RandomStream(43, count).generator()
+        self._check_round(count, *generator_pair(np.random.PCG64, 43, count, spare=False))
+
+    @pytest.mark.parametrize("bit_generator, spare", JUMP_CASES)
+    @pytest.mark.parametrize("count", [1, 16, 8191, 8192, 8193, 40_000])
+    def test_one_round_matches_on_every_bit_generator(self, count, bit_generator, spare):
+        # the acceptance doubles come from a copy moved ahead by a jump; the
+        # spare word catches a jump that drops it
+        self._check_round(count, *generator_pair(bit_generator, 43, count, spare))
+
+    @staticmethod
+    def _check_round(count, rng, oracle):
         assert _propose_b(5, rng, count).tobytes() == propose_b_uniform(5, oracle, count).tobytes()
-        assert rng.bit_generator.state == oracle.bit_generator.state
+        assert same_state(rng.bit_generator.state, oracle.bit_generator.state)
+
+    def test_round_holds_no_whole_round_array(self):
+        # the round streams through row blocks: the traced peak stays near the result
+        rng = RandomStream(53, 0).generator()
+        tracemalloc.start()
+        try:
+            rows = sample_b(5, rng, 10**5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * rows.nbytes
 
     def test_edge_rows_are_decided_in_float64(self):
         # uniforms on |cos| of their sums and one ulp either side: only float64 cosines

@@ -29,6 +29,7 @@ def test_detection_sweep():
 
 @pytest.mark.parametrize("flag, value", [
     ("--steps", "0"), ("--parties", "0"), ("--n-target", "0"), ("--seed", "-1"),
+    ("--visibility", "2"), ("--visibility", "nan"),
 ])
 def test_detection_sweep_refuses_invalid_counts(flag, value):
     proc = run_script("detection_sweep.py", flag, value, code=2)
