@@ -32,13 +32,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .sampling import enumerate_a, sample_inputs, whole_count
-from .tasks import Task, check_domain, norm_b, row_blocks, task_value_batch
+from .sampling import enumerate_a, sample_inputs
+from .tasks import Task, check_domain, norm_b, row_blocks, task_value_batch, whole_count
 
 BRUTE_FORCE_MAX_PARTIES = 4
 EXHAUST_MAX_PARTIES = 10  # exhaustion holds all 4^N products at once: ~40 MB peak at N=10
@@ -49,28 +49,35 @@ MAX_SWEEPS = 500  # coordinate-ascent sweeps before a restart is stopped unconve
 
 @dataclass(frozen=True)
 class CommTree:
-    """Message routing: parents[i] receives party i's bit; root is party N-1."""
+    """Message routing: parents[i] receives party i's bit; root is party N-1.
+
+    Construction follows each party to the root once: a walk longer than
+    N-1 steps has met a cycle.  The depths it finds fix :meth:`send_order`.
+    """
 
     n_parties: int
     parents: tuple[int, ...]
+    _order: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = self.n_parties
-        if n < 1:
-            raise ValueError("need at least one party")
-        if len(self.parents) != n - 1:
-            raise ValueError(f"expected {n - 1} edges, got {len(self.parents)}")
-        for i, p in enumerate(self.parents):
-            if not 0 <= p < n or p == i:
+        n = whole_count("n_parties", self.n_parties, 1)
+        parents = tuple(whole_count(f"parents[{i}]", p) for i, p in enumerate(self.parents))
+        if len(parents) != n - 1:
+            raise ValueError(f"expected {n - 1} edges, got {len(parents)}")
+        for i, p in enumerate(parents):
+            if p >= n or p == i:
                 raise ValueError(f"invalid recipient {p} for party {i}")
+        depth = [0] * (n - 1)
         for i in range(n - 1):
-            seen = set()
             k = i
             while k != n - 1:
-                if k in seen:
-                    raise ValueError(f"cycle through party {k}")
-                seen.add(k)
-                k = self.parents[k]
+                if depth[i] == n - 1:  # n of the n - 1 senders visited: one came twice
+                    raise ValueError(f"party {i}'s bit never reaches the root: the tree has a cycle")
+                k = parents[k]
+                depth[i] += 1
+        object.__setattr__(self, "n_parties", n)
+        object.__setattr__(self, "parents", parents)
+        object.__setattr__(self, "_order", tuple(sorted(range(n - 1), key=lambda i: (-depth[i], i))))
 
     @classmethod
     def chain(cls, n_parties: int) -> "CommTree":
@@ -84,15 +91,8 @@ class CommTree:
         return tuple(i for i, p in enumerate(self.parents) if p == party)
 
     def send_order(self) -> tuple[int, ...]:
-        """Senders ordered so every party speaks after all of its children."""
-        depth = [0] * self.n_parties
-        for i in range(self.n_parties - 1):
-            k, d = i, 0
-            while k != self.n_parties - 1:
-                k = self.parents[k]
-                d += 1
-            depth[i] = d
-        return tuple(sorted(range(self.n_parties - 1), key=lambda i: (-depth[i], i)))
+        """Senders ordered so every party speaks after all of its children: deepest first."""
+        return self._order
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,9 +296,7 @@ def fidelity_mc(
 
     All n_samples input rows are drawn in one batch and answered together.
     """
-    n_samples = whole_count("n_samples", n_samples)
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    n_samples = whole_count("n_samples", n_samples, 1)
     wants = _task_of(protocol)
     if task is not wants:
         raise ValueError(f"{type(protocol).__name__} plays task {wants.value}")
@@ -317,8 +315,7 @@ class ClassicalBound(NamedTuple):
 
 def classical_bound(task: Task, n_parties: int) -> ClassicalBound:
     """Closed-form optimum over all N-1 bit protocols; success = (1+F)/2."""
-    if n_parties < 1:
-        raise ValueError("n_parties must be >= 1")
+    n_parties = whole_count("n_parties", n_parties, 1)
     if task is Task.A:
         k = (n_parties + 1) // 2
         fid = 2.0 ** (1 - k)
@@ -342,9 +339,10 @@ def _sign_tables(index, shape: tuple[int, int]) -> np.ndarray:
 
 def product_strategy_a_from_index(index: int, n_parties: int) -> ProductStrategyA:
     """Decode one of the 4^N product strategies: a_k(x) = -1 where bit 2k+x is set."""
-    if not 0 <= index < 4**n_parties:
+    n_parties = whole_count("n_parties", n_parties, 1)
+    if not 0 <= index < 4**n_parties:  # before whole_count, which words a negative index its own way
         raise ValueError(f"strategy index {index} outside [0, 4^{n_parties})")
-    return ProductStrategyA(_sign_tables(index, (n_parties, 2)))
+    return ProductStrategyA(_sign_tables(whole_count("index", index), (n_parties, 2)))
 
 
 def exhaust_product_strategies_a(n_parties: int) -> tuple[np.ndarray, int]:
@@ -358,7 +356,8 @@ def exhaust_product_strategies_a(n_parties: int) -> tuple[np.ndarray, int]:
     take 17 MB at N=10 and four times that per added party, so N is capped
     at ``EXHAUST_MAX_PARTIES``.
     """
-    if not 1 <= n_parties <= EXHAUST_MAX_PARTIES:
+    n_parties = whole_count("n_parties", n_parties, 1)
+    if n_parties > EXHAUST_MAX_PARTIES:
         raise ValueError(f"n_parties must be in 1..{EXHAUST_MAX_PARTIES}, got {n_parties}")
     digit_z = (_sign_tables(np.arange(4), (1, 2)) @ _PHASE_A)[:, 0]
     z = np.ones(1, dtype=complex)
@@ -387,12 +386,6 @@ def _best_root(v: np.ndarray) -> np.ndarray:
     return np.where(v * lead < 0, -1, 1)
 
 
-def _sender_tables(tree: CommTree) -> list[np.ndarray]:
-    """Every +-1 table of each sender, (digit, received bits) -> bit, by index."""
-    shapes = [(4, 1 << len(tree.children(k))) for k in range(tree.n_parties - 1)]
-    return [_sign_tables(np.arange(1 << (r * c)), (r, c)) for r, c in shapes]
-
-
 def _last_sender_fidelities(tree: CommTree, digits: np.ndarray, tw: np.ndarray):
     """Scorer of every table of the last sender at once, the others held fixed.
 
@@ -412,9 +405,9 @@ def _last_sender_fidelities(tree: CommTree, digits: np.ndarray, tw: np.ndarray):
     root = tree.n_parties - 1
     last = tree.send_order()[-1]
     bit = tree.children(root).index(last)
-    options = _sender_tables(tree)[last]
-    n_cells, root_dim = options[0].size, 4 << len(tree.children(root))
-    plus = (options.reshape(len(options), n_cells) > 0).astype(np.float64)
+    n_cells, root_dim = 4 << len(tree.children(last)), 4 << len(tree.children(root))
+    # [t = +1] per cell of each table t: bit e of t's index clear, as _sign_tables decodes it
+    plus = 1.0 - (np.arange(1 << n_cells)[:, None] >> np.arange(n_cells) & 1)
     clear = np.flatnonzero(((np.arange(root_dim) >> bit) & 1) == 0)
 
     def score(tables) -> np.ndarray:
@@ -449,17 +442,17 @@ def brute_force_bound_a(tree: CommTree) -> BruteForceResult:
         raise ValueError(f"brute force supports 2 <= N <= {BRUTE_FORCE_MAX_PARTIES}")
     tuples, weights = enumerate_a(n)
     tw = weights * task_value_batch(Task.A, tuples)
-    options = _sender_tables(tree)
-    root_dim = 4 << len(tree.children(n - 1))
-    search_space = (1 << root_dim) * math.prod(len(t) for t in options)
+    shapes = [(4, 1 << len(tree.children(k))) for k in range(n)]
+    search_space = math.prod(1 << (r * c) for r, c in shapes)
 
     score = _last_sender_fidelities(tree, tuples, tw)
     last = tree.send_order()[-1]
-    outer = [range(len(t)) for t in options]
-    outer[last] = range(1)
+    # every table of each sender, but a placeholder for the last: score rates all of its tables
+    options = [_sign_tables(np.arange(1 if k == last else 1 << (r * c)), (r, c))
+               for k, (r, c) in enumerate(shapes[:-1])]
     best_fid, best_key = -1.0, ()
-    for key in itertools.product(*outer):
-        fids = score([options[k][i] for k, i in enumerate(key)])
+    for key in itertools.product(*(range(len(t)) for t in options)):
+        fids = score([t[i] for t, i in zip(options, key)])
         # the lowest maximiser in this batch; a later batch can still hold a
         # lower index tuple when the last sender is not party N-2
         i = int(np.argmax(fids))
@@ -467,10 +460,10 @@ def brute_force_bound_a(tree: CommTree) -> BruteForceResult:
         if fids[i] > best_fid or (fids[i] == best_fid and key < best_key):
             best_fid, best_key = float(fids[i]), key
 
-    senders = tuple(options[k][i] for k, i in enumerate(best_key))
+    senders = tuple(_sign_tables(i, shape) for i, shape in zip(best_key, shapes))
     state = _input_cells(_send_plan(tree), senders, tuples)[n - 1]
-    root = _best_root(np.bincount(state, weights=tw, minlength=root_dim)).reshape(4, -1)
-    protocol = GeneralProtocolA(tree=tree, tables=(*senders, root))
+    root = _best_root(np.bincount(state, weights=tw, minlength=math.prod(shapes[-1])))
+    protocol = GeneralProtocolA(tree=tree, tables=(*senders, root.reshape(shapes[-1])))
     return BruteForceResult(best_fid, protocol, search_space)
 
 
@@ -507,8 +500,6 @@ def _ascend(signs: np.ndarray, max_sweeps: int) -> tuple[np.ndarray, np.ndarray]
     (rows, M) product takes another BLAS path and can differ in the last bit.
     """
     n, cells = signs.shape[1:]
-    if cells < MIN_GRID_CELLS:
-        raise ValueError(f"need at least {MIN_GRID_CELLS} cells")
     cell_int = _cell_integrals(cells)
     norm = norm_b(n)
     z = signs @ cell_int
@@ -547,19 +538,22 @@ def coordinate_ascent_b(init: ProductStrategyB, max_sweeps: int = MAX_SWEEPS) ->
     ties keep the earliest restart.  The per-sweep fidelity trace is
     monotone non-decreasing; iteration stops at the first unchanged sweep.
     """
+    whole_count("cells", init.cells, MIN_GRID_CELLS)
     signs = init.signs[None].astype(np.float64)
-    fids, _ = _ascend(signs, max_sweeps)
+    fids, _ = _ascend(signs, whole_count("max_sweeps", max_sweeps))
     return AscentResult(ProductStrategyB(signs[0].astype(np.int64)), tuple(fids[:, 0].tolist()))
 
 
 def random_strategy_b(
     n_parties: int, cells: int, rng: np.random.Generator
 ) -> ProductStrategyB:
-    return ProductStrategyB(1 - 2 * rng.integers(0, 2, size=(n_parties, cells)))
+    shape = whole_count("n_parties", n_parties, 1), whole_count("cells", cells, 2)
+    return ProductStrategyB(1 - 2 * rng.integers(0, 2, size=shape))
 
 
 def half_split_strategy_b(n_parties: int, cells: int) -> ProductStrategyB:
     """The step strategy +1 on [0, pi/2), -1 after: optimal in the continuum."""
+    n_parties, cells = whole_count("n_parties", n_parties, 1), whole_count("cells", cells, 2)
     row = np.where(np.arange(cells) < cells // 2, 1, -1)
     return ProductStrategyB(np.tile(row, (n_parties, 1)))
 
@@ -579,10 +573,9 @@ def optimize_strategy_b(
     for any number of restarts.  Ties keep the earliest restart, so results
     are reproducible for a fixed generator state.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    if n_parties < 1:
-        raise ValueError("need N >= 1 parties")
+    n_parties = whole_count("n_parties", n_parties, 1)
+    cells = whole_count("cells", cells, MIN_GRID_CELLS)
+    restarts = whole_count("restarts", restarts, 1)
     finals: list[float] = []
     best_fid = -1.0
     for first in range(0, restarts, ASCENT_BLOCK):

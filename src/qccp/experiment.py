@@ -27,7 +27,7 @@ import numpy as np
 from . import replay, sampling
 from .quantum import _answers, _plus
 from .sampling import RandomStream
-from .tasks import Task, accept_below, task_value_batch
+from .tasks import Task, accept_below, task_value_batch, whole_count
 
 
 class WindowChoice(NamedTuple):
@@ -81,8 +81,8 @@ class ExperimentParams:
     n_target: int  # accepted runs to collect
 
     def __post_init__(self):
-        if self.n_parties < 1:
-            raise ValueError("n_parties must be >= 1")
+        object.__setattr__(self, "n_parties", whole_count("n_parties", self.n_parties, 1))
+        object.__setattr__(self, "n_target", whole_count("n_target", self.n_target, 1))
         for name in ("trigger_rate", "window"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
@@ -91,8 +91,6 @@ class ExperimentParams:
             raise ValueError("eta must lie in [0, 1]")
         if not 0.0 <= self.visibility <= 1.0:
             raise ValueError("visibility must lie in [0, 1]")
-        if self.n_target < 1:
-            raise ValueError("n_target must be >= 1")
 
     @property
     def gamma(self) -> float:
@@ -477,7 +475,8 @@ def simulate_experiment(params: ExperimentParams, rng: np.random.Generator) -> R
 
 def split_targets(n_target: int, streams: int) -> list[int]:
     """Deterministic partition of the accepted-run budget across streams."""
-    if streams < 1 or n_target < streams:
+    streams = whole_count("streams", streams, 1)
+    if streams > n_target:
         raise ValueError("need 1 <= streams <= n_target")
     base = n_target // streams
     extra = n_target % streams

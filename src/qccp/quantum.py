@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tasks import Task, accept_below, check_domain, coherence
+from .tasks import Task, accept_below, check_domain, coherence, whole_count
 
 NORM_TOL = 1e-9
 
@@ -118,6 +118,5 @@ def run_quantum(task: Task, inputs: Sequence, visibility: float, rng: np.random.
 
 def quantum_fidelity(task: Task, n_parties: int) -> float:
     """Fidelity of the single-qubit protocol: 1 for A, pi/4 for B, any N."""
-    if n_parties < 1:
-        raise ValueError("n_parties must be >= 1")
+    whole_count("n_parties", n_parties, 1)
     return 1.0 if task is Task.A else math.pi / 4.0

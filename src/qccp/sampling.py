@@ -10,12 +10,11 @@ meant to split work.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tasks import ROW_BLOCK, Task, accept_below, row_sum
+from .tasks import ROW_BLOCK, Task, accept_below, row_sum, whole_count
 
 MAX_ENUM_PARTIES = 10
 DEFAULT_MAX_REJECTION_ROUNDS = 10_000
@@ -34,14 +33,6 @@ class RandomStream:
         return np.random.default_rng(seq)
 
 
-def whole_count(name: str, value) -> int:
-    """``value`` as an int, as ``operator.index`` takes it; a TypeError naming ``name`` if not."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
-
-
 def sample_a(n_parties: int, rng: np.random.Generator, size: int) -> np.ndarray:
     """Draw ``size`` uniform even-sum quaternary tuples, as a (size, N) int array.
 
@@ -49,11 +40,8 @@ def sample_a(n_parties: int, rng: np.random.Generator, size: int) -> np.ndarray:
     drawn uniformly from the two values that fix the parity, which makes the
     distribution exactly uniform over the 4^N/2 admissible tuples.
     """
-    if n_parties < 1:
-        raise ValueError("n_parties must be >= 1")
+    n_parties = whole_count("n_parties", n_parties, 1)
     size = whole_count("size", size)
-    if size < 0:
-        raise ValueError(f"size must be >= 0, got {size}")
     out = np.empty((size, n_parties), dtype=np.int64)
     out[:, : n_parties - 1] = rng.integers(0, 4, size=(size, n_parties - 1))
     parity = row_sum(out[:, : n_parties - 1]) & 1
@@ -138,11 +126,9 @@ def sample_b(
     run until ``size`` rows are accepted.  ``max_rounds`` caps their number:
     a request still short after that many rounds signals a broken generator.
     """
-    if n_parties < 1:
-        raise ValueError("n_parties must be >= 1")
+    n_parties = whole_count("n_parties", n_parties, 1)
     size = whole_count("size", size)
-    if size < 0:
-        raise ValueError(f"size must be >= 0, got {size}")
+    max_rounds = whole_count("max_rounds", max_rounds)
     chunks = [np.empty((0, n_parties))]  # size=0 draws nothing and still concatenates
     got = 0
     for _ in range(max_rounds):
@@ -168,7 +154,8 @@ def enumerate_a(n_parties: int) -> tuple[np.ndarray, np.ndarray]:
     lexicographic order.  Supports N <= 10 (524288 tuples); larger N should
     be sampled instead.
     """
-    if not 1 <= n_parties <= MAX_ENUM_PARTIES:
+    n_parties = whole_count("n_parties", n_parties, 1)
+    if n_parties > MAX_ENUM_PARTIES:
         raise ValueError(f"enumeration supports 1 <= N <= {MAX_ENUM_PARTIES}")
     digits = np.arange(4**n_parties)[:, None] // 4 ** np.arange(n_parties - 1, -1, -1) % 4
     tuples = digits[digits.sum(axis=1) % 2 == 0]

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .experiment import Runs
+from .tasks import whole_count
 
 DEFAULT_BLOCK_SIZE = 500
 
@@ -35,9 +36,9 @@ class SuccessStats:
     sigma: float
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("need at least one run")
-        if not 0 <= self.successes <= self.n:
+        object.__setattr__(self, "n", whole_count("n", self.n, 1))
+        object.__setattr__(self, "successes", whole_count("successes", self.successes))
+        if self.successes > self.n:
             raise ValueError("successes must lie in [0, n]")
         if not 0.0 <= self.sigma < math.inf:
             raise ValueError(f"sigma must be non-negative and finite, got {self.sigma}")
@@ -99,8 +100,7 @@ class Histogram:
         whole = counts.dtype.kind in "biuf" and (counts == np.round(counts)).all()
         if not (whole and (counts >= 0).all() and (counts < np.inf).all()):
             raise ValueError(f"counts must be non-negative whole numbers, got {counts}")
-        if not isinstance(self.block_size, (int, np.integer)) or self.block_size < 1:
-            raise ValueError(f"block_size must be an integer >= 1, got {self.block_size!r}")
+        object.__setattr__(self, "block_size", whole_count("block_size", self.block_size, 1))
         object.__setattr__(self, "bin_edges", edges)
         object.__setattr__(self, "counts", counts.astype(np.int64))
 
@@ -116,8 +116,7 @@ def block_fractions(runs: Runs, block_size: int) -> np.ndarray:
     fractions is floor(n/block_size); the mean of the fractions matches the
     overall estimate exactly when block_size divides n.
     """
-    if block_size < 1:
-        raise ValueError("block_size must be >= 1")
+    block_size = whole_count("block_size", block_size, 1)
     outcomes = runs.correct[runs.accepted].astype(float)
     n_blocks = len(outcomes) // block_size
     if n_blocks < 1:

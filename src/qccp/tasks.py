@@ -29,6 +29,7 @@ every sampler and fidelity sum in this package uses it.
 from __future__ import annotations
 
 import math
+import operator
 from enum import Enum
 from typing import Sequence
 
@@ -85,6 +86,22 @@ def check_domain(task: Task, rows, reduced: bool = False) -> np.ndarray:
     if arr.size and not (whole and 0 <= arr.min() and arr.max() < hi):
         raise ValueError(message)
     return arr.astype(np.int64 if task is Task.A else np.float64, copy=False)
+
+
+def whole_count(name: str, value, minimum: int = 0) -> int:
+    """A count argument as an int, as ``operator.index`` takes it: every count's one rule.
+
+    A value that is not an integer (a float, even a whole one) raises a
+    TypeError naming ``name``; numpy integers pass.  One below ``minimum``
+    raises a ValueError.  Upper limits stay with the code that sets them.
+    """
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if count < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {count}")
+    return count
 
 
 def row_blocks(count: int) -> list[slice]:

@@ -647,5 +647,5 @@ class TestStrategyTypes:
             cls(np.ones((0, width), dtype=int))
 
     def test_optimize_refuses_zero_parties(self):
-        with pytest.raises(ValueError, match="N >= 1"):
+        with pytest.raises(ValueError, match="n_parties must be >= 1"):
             optimize_strategy_b(0, 8, 1, RandomStream(0, 0).generator())
