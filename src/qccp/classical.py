@@ -38,7 +38,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .sampling import enumerate_a, sample_inputs
-from .tasks import Task, check_domain, norm_b, row_blocks, task_value_batch, whole_count
+from .tasks import Task, check_domain, norm_b, row_blocks, task_value_batch, whole_array, whole_count
 
 BRUTE_FORCE_MAX_PARTIES = 4
 EXHAUST_MAX_PARTIES = 10  # exhaustion holds all 4^N products at once: ~40 MB peak at N=10
@@ -81,11 +81,12 @@ class CommTree:
 
     @classmethod
     def chain(cls, n_parties: int) -> "CommTree":
-        return cls(n_parties, tuple(i + 1 for i in range(n_parties - 1)))
+        return cls(n_parties, tuple(range(1, whole_count("n_parties", n_parties, 1))))
 
     @classmethod
     def star(cls, n_parties: int) -> "CommTree":
-        return cls(n_parties, tuple(n_parties - 1 for _ in range(n_parties - 1)))
+        n = whole_count("n_parties", n_parties, 1)
+        return cls(n, (n - 1,) * (n - 1))
 
     def children(self, party: int) -> tuple[int, ...]:
         return tuple(i for i, p in enumerate(self.parents) if p == party)
@@ -96,37 +97,31 @@ class CommTree:
 
 
 @dataclass(frozen=True, eq=False)
-class ProductStrategyA:
+class _ProductStrategy:
+    """Per-party +-1 sign tables, one row of ``_width`` entries (None: M >= 2) per party."""
+
+    signs: np.ndarray
+    _width = None
+
+    def __post_init__(self):
+        arr = whole_array("signs", self.signs)
+        if arr.ndim != 2 or len(arr) < 1 or arr.shape[1] < 2 or self._width not in (None, arr.shape[1]):
+            raise ValueError(f"signs must be an (N >= 1, {self._width or 'M >= 2'}) array of +-1")
+        object.__setattr__(self, "signs", arr)
+
+    @property
+    def n_parties(self) -> int:
+        return self.signs.shape[0]
+
+
+class ProductStrategyA(_ProductStrategy):
     """Per-party sign tables a_k(x_k) on the reduced bit, shape (N, 2)."""
 
-    signs: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.signs, dtype=np.int64)
-        if arr.ndim != 2 or len(arr) < 1 or arr.shape[1] != 2 or not np.isin(arr, (-1, 1)).all():
-            raise ValueError("signs must be an (N >= 1, 2) array of +-1")
-        object.__setattr__(self, "signs", arr)
-
-    @property
-    def n_parties(self) -> int:
-        return self.signs.shape[0]
+    _width = 2
 
 
-@dataclass(frozen=True, eq=False)
-class ProductStrategyB:
+class ProductStrategyB(_ProductStrategy):
     """Per-party piecewise-constant signs over M uniform cells of [0, pi)."""
-
-    signs: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.signs, dtype=np.int64)
-        if arr.ndim != 2 or len(arr) < 1 or arr.shape[1] < 2 or not np.isin(arr, (-1, 1)).all():
-            raise ValueError("signs must be an (N >= 1, M >= 2) array of +-1")
-        object.__setattr__(self, "signs", arr)
-
-    @property
-    def n_parties(self) -> int:
-        return self.signs.shape[0]
 
     @property
     def cells(self) -> int:
@@ -153,14 +148,12 @@ class GeneralProtocolA:
     def __post_init__(self):
         if len(self.tables) != self.tree.n_parties:
             raise ValueError("one table per party required")
-        fixed = []
-        for k, table in enumerate(self.tables):
+        tables = tuple(whole_array(f"tables[{k}]", table) for k, table in enumerate(self.tables))
+        for k, table in enumerate(tables):
             want = (4, 1 << len(self.tree.children(k)))
-            arr = np.asarray(table, dtype=np.int64)
-            if arr.shape != want or not np.isin(arr, (-1, 1)).all():
+            if table.shape != want:
                 raise ValueError(f"party {k} table must be +-1 with shape {want}")
-            fixed.append(arr)
-        object.__setattr__(self, "tables", tuple(fixed))
+        object.__setattr__(self, "tables", tables)
 
 
 Strategy = ProductStrategyA | ProductStrategyB | GeneralProtocolA
@@ -340,9 +333,10 @@ def _sign_tables(index, shape: tuple[int, int]) -> np.ndarray:
 def product_strategy_a_from_index(index: int, n_parties: int) -> ProductStrategyA:
     """Decode one of the 4^N product strategies: a_k(x) = -1 where bit 2k+x is set."""
     n_parties = whole_count("n_parties", n_parties, 1)
-    if not 0 <= index < 4**n_parties:  # before whole_count, which words a negative index its own way
+    index = whole_count("index", index, -math.inf)  # no minimum: the range test words a negative index
+    if not 0 <= index < 4**n_parties:
         raise ValueError(f"strategy index {index} outside [0, 4^{n_parties})")
-    return ProductStrategyA(_sign_tables(whole_count("index", index), (n_parties, 2)))
+    return ProductStrategyA(_sign_tables(index, (n_parties, 2)))
 
 
 def exhaust_product_strategies_a(n_parties: int) -> tuple[np.ndarray, int]:
@@ -541,7 +535,7 @@ def coordinate_ascent_b(init: ProductStrategyB, max_sweeps: int = MAX_SWEEPS) ->
     whole_count("cells", init.cells, MIN_GRID_CELLS)
     signs = init.signs[None].astype(np.float64)
     fids, _ = _ascend(signs, whole_count("max_sweeps", max_sweeps))
-    return AscentResult(ProductStrategyB(signs[0].astype(np.int64)), tuple(fids[:, 0].tolist()))
+    return AscentResult(ProductStrategyB(signs[0]), tuple(fids[:, 0].tolist()))
 
 
 def random_strategy_b(
@@ -587,5 +581,5 @@ def optimize_strategy_b(
         if fids[-1, i] > best_fid:
             best, best_fid, trace = signs[i], fids[-1, i], fids[: lengths[i], i].tolist()
         finals += fids[-1].tolist()
-    strategy = ProductStrategyB(best.astype(np.int64))
+    strategy = ProductStrategyB(best)
     return OptimizeResult(strategy, trace[-1], tuple(trace), tuple(finals))

@@ -27,7 +27,7 @@ import numpy as np
 from . import replay, sampling
 from .quantum import _answers, _plus
 from .sampling import RandomStream
-from .tasks import Task, accept_below, task_value_batch, whole_count
+from .tasks import Task, accept_below, task_value_batch, whole_array, whole_count
 
 
 class WindowChoice(NamedTuple):
@@ -120,14 +120,6 @@ class Run(NamedTuple):
     truth: int
 
 
-_COLUMN_TYPES = (
-    ("trigger_count", np.int64),
-    ("detected", bool),
-    ("answer", np.int64),
-    ("truth", np.int64),
-)
-
-
 @dataclass(frozen=True, eq=False)
 class Runs:
     """Window log in columns: one entry per collection window, in order.
@@ -146,19 +138,17 @@ class Runs:
     truth: np.ndarray
 
     def __post_init__(self):
-        inputs = np.asarray(self.inputs)
-        if inputs.ndim != 2:
-            raise ValueError("inputs must be a (windows, N) array")
-        object.__setattr__(self, "inputs", inputs)
-        for name, dtype in _COLUMN_TYPES:
-            column = np.asarray(getattr(self, name), dtype=dtype)
-            if column.shape != (len(inputs),):
+        object.__setattr__(self, "inputs", np.asarray(self.inputs))
+        if self.inputs.ndim != 2 or self.inputs.dtype.kind not in "biuf":
+            raise ValueError("inputs must be a numeric (windows, N) array")
+        # trigger counts >= 0, detection flags 0/1 kept as bool, answer and truth +-1
+        for name, *rule in (("trigger_count", 0, None), ("detected", 0, 1, bool), ("answer",), ("truth",)):
+            column = whole_array(name, getattr(self, name), *rule)
+            if column.shape != (len(self.inputs),):
                 raise ValueError(f"{name} needs one entry per window")
             object.__setattr__(self, name, column)
         if np.any(self.detected & ~self.accepted):
             raise ValueError("only accepted windows can be detected")
-        if np.any(np.abs(self.answer) != 1) or np.any(np.abs(self.truth) != 1):
-            raise ValueError("answer and truth must be +-1 signs")
 
     @classmethod
     def concat(cls, parts: Sequence["Runs"]) -> "Runs":

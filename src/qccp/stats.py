@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .experiment import Runs
-from .tasks import whole_count
+from .tasks import whole_array, whole_count
 
 DEFAULT_BLOCK_SIZE = 500
 
@@ -89,20 +89,16 @@ class Histogram:
     block_size: int
 
     def __post_init__(self):
-        edges = np.asarray(self.bin_edges, dtype=float)
-        counts = np.asarray(self.counts)
-        if len(counts) != len(edges) - 1:
+        object.__setattr__(self, "counts", whole_array("counts", self.counts, 0, None))
+        edges = np.asarray(self.bin_edges)
+        if len(self.counts) != len(edges) - 1:
             raise ValueError("counts length must be edges length - 1")
-        if not np.isfinite(edges).all():
-            raise ValueError("bin edges must be finite")
+        if edges.dtype.kind not in "biuf" or not np.isfinite(edges).all():
+            raise ValueError("bin_edges must be finite numbers")
         if np.any(np.diff(edges) <= 0):
             raise ValueError("bin edges must be strictly increasing")
-        whole = counts.dtype.kind in "biuf" and (counts == np.round(counts)).all()
-        if not (whole and (counts >= 0).all() and (counts < np.inf).all()):
-            raise ValueError(f"counts must be non-negative whole numbers, got {counts}")
         object.__setattr__(self, "block_size", whole_count("block_size", self.block_size, 1))
-        object.__setattr__(self, "bin_edges", edges)
-        object.__setattr__(self, "counts", counts.astype(np.int64))
+        object.__setattr__(self, "bin_edges", edges.astype(float))
 
     @property
     def n_blocks(self) -> int:

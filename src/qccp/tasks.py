@@ -60,11 +60,9 @@ class CosineTieError(ValueError):
     """
 
 
-_DOMAINS = {
-    (Task.A, False): (4, "task A digits must lie in 0..3"),
-    (Task.A, True): (2, "reduced task A inputs are bits"),
-    (Task.B, False): (2.0 * math.pi, "task B inputs must lie in [0, 2*pi)"),
-    (Task.B, True): (math.pi, "reduced task B inputs must lie in [0, pi)"),
+_PHASES = {  # task B's upper end and its message, by ``reduced``
+    False: (2.0 * math.pi, "task B inputs must lie in [0, 2*pi)"),
+    True: (math.pi, "reduced task B inputs must lie in [0, pi)"),
 }
 
 
@@ -72,23 +70,45 @@ def check_domain(task: Task, rows, reduced: bool = False) -> np.ndarray:
     """Validate a (rows, N) input array, N >= 1, against the task's domain.
 
     Returns the rows as int64 digits (task A) or float64 phases (task B).
-    ``reduced`` checks the reduced coordinates x instead.  NaN fails, and so
-    do a task A float that is not a whole number and any array that is not
-    bool, integer or float (complex, text, objects).
+    ``reduced`` checks the reduced coordinates x instead.  Task A digits
+    follow :func:`whole_array`; a phase that is NaN, complex, text or an
+    object fails.
     """
     arr = np.asarray(rows)
     if arr.ndim != 2 or arr.shape[1] < 1:
         raise ValueError(f"expected a (rows, N) array with N >= 1, got shape {arr.shape}")
-    hi, message = _DOMAINS[task, reduced]
-    if arr.dtype.kind not in "biuf":
+    if task is Task.A:
+        return whole_array("task A bits" if reduced else "task A digits", arr, 0, 1 if reduced else 3)
+    top, message = _PHASES[reduced]
+    if arr.dtype.kind not in "biuf" or arr.size and not (0 <= arr.min() and arr.max() < top):
         raise ValueError(message)
-    whole = task is Task.B or arr.dtype.kind != "f" or (arr == np.floor(arr)).all()
-    if arr.size and not (whole and 0 <= arr.min() and arr.max() < hi):
-        raise ValueError(message)
-    return arr.astype(np.int64 if task is Task.A else np.float64, copy=False)
+    return arr.astype(np.float64, copy=False)
 
 
-def whole_count(name: str, value, minimum: int = 0) -> int:
+def whole_array(name: str, values, low: int = -1, high: int | None = 1, dtype=np.int64) -> np.ndarray:
+    """A caller's integer, sign or flag array as ``dtype``: every such array's one rule.
+
+    Bool, integer and whole-float entries in low..high pass (``high`` None:
+    up to int64's limit); the default -1..1 means the signs +-1, so 0 fails.
+    Anything else (a fraction, NaN, inf, text, complex) raises a ValueError
+    naming ``name``.  Signs are tested by ``abs``, ranges by min and max: an
+    integer modulo would cost over ten times as much on a long column.
+    """
+    arr = np.asarray(values)
+    numeric = arr.dtype.kind in "biuf"
+    if (low, high) == (-1, 1):
+        whole, rule = numeric and (np.abs(arr) == 1).all(), "+-1"
+    else:
+        top = 2**63 if high is None else high + 1
+        fractions = arr.dtype.kind == "f" and not (arr == np.floor(arr)).all()
+        whole = numeric and not fractions and (not arr.size or low <= arr.min() and arr.max() < top)
+        rule = f"whole numbers >= {low}" if high is None else f"whole numbers in {low}..{high}"
+    if not whole:
+        raise ValueError(f"{name} must be an array of {rule}")
+    return arr.astype(dtype, copy=False)
+
+
+def whole_count(name: str, value, minimum: float = 0) -> int:
     """A count argument as an int, as ``operator.index`` takes it: every count's one rule.
 
     A value that is not an integer (a float, even a whole one) raises a
@@ -240,8 +260,8 @@ def compose(task: Task, x, y) -> np.ndarray:
     when y_k = -1, kept below 2 pi where that sum rounds up to it.
     """
     x = check_domain(task, x, reduced=True)
-    y = np.asarray(y)
-    if y.shape != x.shape or not np.isin(y, (-1, 1)).all():
+    y = whole_array("y", y)
+    if y.shape != x.shape:
         raise ValueError(f"y must be a +-1 array of shape {x.shape}")
     if task is Task.A:
         return (1 - y) + x

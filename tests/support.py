@@ -1,9 +1,17 @@
-"""Helpers for tests that run qccp or its scripts in a subprocess."""
+"""Helpers for tests that run the command line in process, or qccp and its scripts in a subprocess."""
 
 import os
 from pathlib import Path
 
+from qccp.cli import main
+
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_cli(capsys, *argv):
+    code = main(list(argv))
+    out = capsys.readouterr().out
+    return code, out
 
 
 def subprocess_env() -> dict[str, str]:

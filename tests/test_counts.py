@@ -1,8 +1,8 @@
 """One count rule for the whole public API: ``tasks.whole_count``.
 
-Every callable in ``qccp.__all__`` with a count parameter has a case in
-CASES, so a new entry point without one fails
-``test_every_count_taking_callable_has_a_case``.  For each case a
+Every callable in ``qccp.__all__``, and every public classmethod of a class
+there, with a count parameter has a case in CASES, so a new entry point
+without one fails ``test_every_count_taking_callable_has_a_case``.  For each case a
 non-integer count is refused by name, a numpy integer count gives the same
 result as a plain int, and the counts a constructor stores are ints.
 """
@@ -77,6 +77,8 @@ CASES = {
         {"n_parties": 3, "parents": (2, 2)},
         lambda tree: (tree.n_parties, *tree.parents),
     ),
+    "CommTree.chain": (CommTree.chain, {"n_parties": 3}, lambda tree: (tree.n_parties, *tree.parents)),
+    "CommTree.star": (CommTree.star, {"n_parties": 3}, lambda tree: (tree.n_parties, *tree.parents)),
     "ExperimentParams": (params, {"n_parties": 5, "n_target": 10}, lambda p: (p.n_parties, p.n_target)),
     "Histogram": (
         lambda block_size: Histogram([0.0, 0.5, 1.0], [1, 2], block_size),
@@ -87,6 +89,9 @@ CASES = {
         lambda n, successes: SuccessStats(n, successes, 0.1),
         {"n": 10, "successes": 7},
         lambda s: (s.n, s.successes),
+    ),
+    "SuccessStats.from_counts": (
+        SuccessStats.from_counts, {"n": 10, "successes": 7}, lambda s: (s.n, s.successes),
     ),
     "block_fractions": (lambda block_size: block_fractions(RUNS, block_size), {"block_size": 5}, no_ints),
     "block_histogram": (lambda block_size: block_histogram(RUNS, block_size), {"block_size": 5},
@@ -143,6 +148,17 @@ CASES = {
 CASE_PARAMETERS = [(name, param) for name, (_, counts, _) in CASES.items() for param in counts]
 
 
+def public_callables():
+    """(name, object) for each name in ``qccp.__all__`` and each public classmethod of a class there."""
+    for name in qccp.__all__:
+        obj = getattr(qccp, name)
+        yield name, obj
+        if inspect.isclass(obj):
+            for attr, raw in vars(obj).items():
+                if isinstance(raw, classmethod) and not attr.startswith("_"):
+                    yield f"{name}.{attr}", getattr(obj, attr)
+
+
 def count_parameters(obj) -> set[str]:
     try:
         return set(inspect.signature(obj).parameters) & COUNT_PARAMETERS
@@ -168,7 +184,7 @@ def plain(value):
 
 
 def test_every_count_taking_callable_has_a_case():
-    taking = {name: count_parameters(getattr(qccp, name)) for name in qccp.__all__}
+    taking = {name: count_parameters(obj) for name, obj in public_callables()}
     assert {name for name, params in taking.items() if params} == set(CASES)
     for name, (_, counts, _) in CASES.items():
         assert set(counts) == taking[name], name
@@ -231,3 +247,11 @@ def test_send_order_is_deepest_first_then_lowest():
     assert CommTree(5, (1, 4, 4, 4)).send_order() == (0, 1, 2, 3)
     assert CommTree(5, (4, 0, 1, 4)).send_order() == (2, 1, 0, 3)
     assert CommTree(1, ()).send_order() == ()
+
+
+def test_text_strategy_index_is_refused_by_name():
+    with pytest.raises(TypeError, match="^index must be an integer, got '3'$"):
+        product_strategy_a_from_index("3", 2)
+    for index in (-1, 16):
+        with pytest.raises(ValueError, match=rf"^strategy index {index} outside \[0, 4\^2\)$"):
+            product_strategy_a_from_index(index, 2)
