@@ -22,14 +22,14 @@ from qccp import (
     simulate_experiment,
     success_stats,
 )
-from qccp.cli import non_negative_int, positive_int
+from qccp.cli import non_negative_int, positive_int, unit_float
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--task", choices=["A", "B"], default="B")
     parser.add_argument("--parties", type=positive_int, default=5)
-    parser.add_argument("--visibility", type=float, default=0.95)
+    parser.add_argument("--visibility", type=unit_float, default=0.95)
     parser.add_argument("--n-target", type=positive_int, default=5000)
     parser.add_argument("--seed", type=non_negative_int, default=7)
     parser.add_argument("--steps", type=positive_int, default=9)
@@ -37,10 +37,7 @@ def main() -> None:
 
     task = Task(args.task)
     bound = classical_bound(task, args.parties).success
-    try:
-        gamma = gamma_from_visibility(task, args.visibility)
-    except ValueError as exc:
-        parser.error(f"argument --visibility: {exc}")
+    gamma = gamma_from_visibility(task, args.visibility)
     print(f"# task {task.value}, N={args.parties}, V={args.visibility}, "
           f"gamma={gamma:.4f}, classical bound {bound:.4f}")
     print("eta\tp_simulated\tsigma\tp_predicted\tsigma_over_bound")

@@ -127,7 +127,7 @@ class ProductStrategyB(_ProductStrategy):
     def cells(self) -> int:
         return self.signs.shape[1]
 
-    def cell_index(self, x) -> np.ndarray:
+    def _cell_index(self, x) -> np.ndarray:
         idx = np.floor(np.asarray(x, dtype=float) * self.cells / math.pi)
         return np.clip(idx.astype(np.int64), 0, self.cells - 1)
 
@@ -217,7 +217,7 @@ def _answers(protocol: Strategy, tree: CommTree, inputs: np.ndarray) -> np.ndarr
             index = block[:, k]
             if isinstance(protocol, ProductStrategyB):
                 flip = index >= math.pi  # as decompose_batch
-                index = protocol.cell_index(index - math.pi * flip) + protocol.cells * flip
+                index = protocol._cell_index(index - math.pi * flip) + protocol.cells * flip
             product *= table[index]
     return answer
 

@@ -48,7 +48,7 @@ from .experiment import (
 from .quantum import final_state, measure_probabilities, quantum_fidelity, run_quantum_batch
 from .sampling import RandomStream, enumerate_a, sample_b
 from .stats import DEFAULT_BLOCK_SIZE, block_histogram, sigma_violation, success_stats
-from .tasks import Task, task_value_batch
+from .tasks import Task, real_in, task_value_batch, whole_count
 from .tsv import _key_values, _table, _write, write_histogram_tsv, write_records_tsv
 
 DEFAULT_SEED = 7
@@ -128,27 +128,21 @@ def _config_flags(
     return flags
 
 
-def _int_from(minimum: int, what: str, name: str):
-    """An argparse type for integers >= minimum, named ``name`` in argparse's message for non-integers."""
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
-        return value
-    parse.__name__ = name
+def _flag_type(convert, rule, *bounds):
+    """An argparse type: ``convert(text)`` held to the library's rule for it (``whole_count``, ``real_in``)."""
+    def parse(text: str):
+        try:
+            return rule("value", convert(text), *bounds)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
     return parse
 
 
-positive_int = _int_from(1, "a positive integer", "positive_int")
-non_negative_int = _int_from(0, "a non-negative integer", "non_negative_int")
-grid_cells = _int_from(MIN_GRID_CELLS, f"at least {MIN_GRID_CELLS}", "grid_cells")
-
-
-def positive_float(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
-    return value
+positive_int = _flag_type(int, whole_count, 1)
+non_negative_int = _flag_type(int, whole_count, 0)
+grid_cells = _flag_type(int, whole_count, MIN_GRID_CELLS)
+positive_float = _flag_type(float, real_in, 0.0, math.inf, True)
+unit_float = _flag_type(float, real_in, 0.0, 1.0)
 
 
 def _seed_of(args: argparse.Namespace) -> int:
@@ -458,10 +452,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=non_negative_int, default=None)
     p.add_argument("--streams", type=positive_int, default=1)
     p.add_argument("--n-target", dest="n_target", type=positive_int, default=None)
-    p.add_argument("--eta", type=float, default=None)
+    p.add_argument("--eta", type=unit_float, default=None)
     contrast = p.add_mutually_exclusive_group()
     contrast.add_argument("--gamma", type=float, default=None)
-    contrast.add_argument("--visibility", type=float, default=None)
+    contrast.add_argument("--visibility", type=unit_float, default=None)
     p.add_argument("--trigger-rate", dest="trigger_rate", type=positive_float, default=None)
     p.add_argument("--window", type=positive_float, default=None)
     p.add_argument("--block-size", dest="block_size", type=positive_int, default=DEFAULT_BLOCK_SIZE)

@@ -27,7 +27,7 @@ import numpy as np
 from . import replay, sampling
 from .quantum import _answers, _plus
 from .sampling import RandomStream
-from .tasks import Task, accept_below, task_value_batch, whole_array, whole_count
+from .tasks import Task, accept_below, check_domain, real_in, task_value_batch, whole_array, whole_count
 
 
 class WindowChoice(NamedTuple):
@@ -37,8 +37,7 @@ class WindowChoice(NamedTuple):
 
 def optimize_window(trigger_rate: float) -> WindowChoice:
     """Window maximising P(exactly one Poisson trigger): 1/rate, prob e^-1."""
-    if not 0.0 < trigger_rate < math.inf:
-        raise ValueError(f"trigger_rate must be positive and finite, got {trigger_rate}")
+    trigger_rate = real_in("trigger_rate", trigger_rate, 0.0, open_low=True)
     window = 1.0 / trigger_rate
     if window == math.inf:
         raise ValueError(f"trigger_rate {trigger_rate} is too small: its window 1/rate overflows")
@@ -51,8 +50,7 @@ def gamma_from_visibility(task: Task, visibility: float) -> float:
     With coherence term V cos(sum phases): gamma_A = (1+V)/2 and
     gamma_B = (1 + V pi/4)/2; V = 1 recovers the ideal protocol limits.
     """
-    if not 0.0 <= visibility <= 1.0:
-        raise ValueError("visibility must lie in [0, 1]")
+    visibility = real_in("visibility", visibility, 0.0, 1.0)
     if task is Task.A:
         return (1.0 + visibility) / 2.0
     return (1.0 + visibility * math.pi / 4.0) / 2.0
@@ -60,9 +58,7 @@ def gamma_from_visibility(task: Task, visibility: float) -> float:
 
 def visibility_from_gamma(task: Task, gamma: float) -> float:
     """Exact inverse of :func:`gamma_from_visibility`; errors off-range."""
-    top = gamma_from_visibility(task, 1.0)
-    if not 0.5 <= gamma <= top:
-        raise ValueError(f"gamma must lie in [0.5, {top:.6f}] for task {task.value}")
+    gamma = real_in(f"gamma (task {task.value})", gamma, 0.5, gamma_from_visibility(task, 1.0))
     if task is Task.A:
         return 2.0 * gamma - 1.0
     return (2.0 * gamma - 1.0) / (math.pi / 4.0)
@@ -83,14 +79,9 @@ class ExperimentParams:
     def __post_init__(self):
         object.__setattr__(self, "n_parties", whole_count("n_parties", self.n_parties, 1))
         object.__setattr__(self, "n_target", whole_count("n_target", self.n_target, 1))
-        for name in ("trigger_rate", "window"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError("eta must lie in [0, 1]")
-        if not 0.0 <= self.visibility <= 1.0:
-            raise ValueError("visibility must lie in [0, 1]")
+        for name, *interval in (("trigger_rate", 0.0, math.inf, True), ("window", 0.0, math.inf, True),
+                                ("eta", 0.0, 1.0), ("visibility", 0.0, 1.0)):
+            object.__setattr__(self, name, real_in(name, getattr(self, name), *interval))
 
     @property
     def gamma(self) -> float:
@@ -138,9 +129,11 @@ class Runs:
     truth: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "inputs", np.asarray(self.inputs))
-        if self.inputs.ndim != 2 or self.inputs.dtype.kind not in "biuf":
-            raise ValueError("inputs must be a numeric (windows, N) array")
+        inputs = np.asarray(self.inputs)
+        try:  # float inputs are task B phases, the others task A digits
+            object.__setattr__(self, "inputs", check_domain(Task.B if inputs.dtype.kind == "f" else Task.A, inputs))
+        except ValueError as exc:
+            raise ValueError(f"inputs must be task A digits or task B phases: {exc}") from None
         # trigger counts >= 0, detection flags 0/1 kept as bool, answer and truth +-1
         for name, *rule in (("trigger_count", 0, None), ("detected", 0, 1, bool), ("answer",), ("truth",)):
             column = whole_array(name, getattr(self, name), *rule)
@@ -178,15 +171,13 @@ class Runs:
 
 def predicted_success(eta: float, gamma: float) -> float:
     """Closed-form success probability eta*gamma + (1-eta)/2."""
-    if not 0.0 <= eta <= 1.0 or not 0.0 <= gamma <= 1.0:
-        raise ValueError("eta and gamma must lie in [0, 1]")
+    eta, gamma = real_in("eta", eta, 0.0, 1.0), real_in("gamma", gamma, 0.0, 1.0)
     return eta * gamma + (1.0 - eta) * 0.5
 
 
 def experimental_fidelity(eta: float, gamma: float) -> float:
     """Closed-form fidelity eta*(2*gamma - 1) = 2*predicted_success - 1."""
-    if not 0.0 <= eta <= 1.0 or not 0.0 <= gamma <= 1.0:
-        raise ValueError("eta and gamma must lie in [0, 1]")
+    eta, gamma = real_in("eta", eta, 0.0, 1.0), real_in("gamma", gamma, 0.0, 1.0)
     return eta * (2.0 * gamma - 1.0)
 
 

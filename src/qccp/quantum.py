@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tasks import Task, accept_below, check_domain, coherence, whole_count
+from .tasks import Task, accept_below, check_domain, coherence, real_in, whole_count
 
 NORM_TOL = 1e-9
 
@@ -75,8 +75,7 @@ def exact_outcome_a(rows) -> np.ndarray:
 
 def _plus(visibility: float):
     """c -> P(+1) = (1 + V c)/2 for a visibility V, refused unless it lies in [0, 1]."""
-    if not 0.0 <= visibility <= 1.0:
-        raise ValueError("visibility must lie in [0, 1]")
+    visibility = real_in("visibility", visibility, 0.0, 1.0)
     return lambda c: (1.0 + visibility * c) / 2.0
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .experiment import Runs
-from .tasks import whole_array, whole_count
+from .tasks import real_in, whole_array, whole_count
 
 DEFAULT_BLOCK_SIZE = 500
 
@@ -40,8 +40,7 @@ class SuccessStats:
         object.__setattr__(self, "successes", whole_count("successes", self.successes))
         if self.successes > self.n:
             raise ValueError("successes must lie in [0, n]")
-        if not 0.0 <= self.sigma < math.inf:
-            raise ValueError(f"sigma must be non-negative and finite, got {self.sigma}")
+        object.__setattr__(self, "sigma", real_in("sigma", self.sigma, 0.0))
 
     @property
     def p_hat(self) -> float:
@@ -66,14 +65,12 @@ def sigma_violation(stats: SuccessStats, classical_p: float) -> float:
     """How many standard errors the estimate sits above the classical bound."""
     if stats.sigma <= 0.0:
         raise ValueError("sigma must be positive")
-    return (stats.p_hat - classical_p) / stats.sigma
+    return (stats.p_hat - real_in("classical_p", classical_p, 0.0, 1.0)) / stats.sigma
 
 
 def wilson_interval(stats: SuccessStats, z: float = 1.0) -> tuple[float, float]:
     """Wilson score interval, the optional alternative to the Wald error; z > 0 and finite."""
-    if not 0.0 < z < math.inf:
-        raise ValueError(f"z must be positive and finite, got {z}")
-    n, p = stats.n, stats.p_hat
+    n, p, z = stats.n, stats.p_hat, real_in("z", z, 0.0, open_low=True)
     denom = 1.0 + z * z / n
     centre = (p + z * z / (2 * n)) / denom
     half = z * math.sqrt(p * (1.0 - p) / n + z * z / (4 * n * n)) / denom
@@ -127,8 +124,7 @@ def block_histogram(
     bin_width: float = 0.01,
 ) -> Histogram:
     """Histogram of per-block success fractions over [0, 1]."""
-    if not 0.0 < bin_width <= 1.0:
-        raise ValueError("bin_width must lie in (0, 1]")
+    bin_width = real_in("bin_width", bin_width, 0.0, 1.0, open_low=True)
     fractions = block_fractions(runs, block_size)
     n_bins = math.ceil(1.0 / bin_width - 1e-9)
     edges = np.linspace(0.0, n_bins * bin_width, n_bins + 1)

@@ -29,7 +29,9 @@ every sampler and fidelity sum in this package uses it.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
+import sys
 from enum import Enum
 from typing import Sequence
 
@@ -122,6 +124,24 @@ def whole_count(name: str, value, minimum: float = 0) -> int:
     if count < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {count}")
     return count
+
+
+def real_in(name: str, value, low: float, high: float = math.inf, open_low: bool = False) -> float:
+    """A real-valued argument as a float in [low, high], or (low, high]: every such argument's one rule.
+
+    A bool, int, float, or numpy real scalar or 0-d array passes; anything else (text, complex, None,
+    an array) raises a TypeError naming ``name``, and NaN, +-inf or an out-of-range value a ValueError.
+    """
+    if isinstance(value, (np.ndarray, np.generic)) and value.ndim == 0 and value.dtype.kind in "biuf":
+        value = value.item()
+    if not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    x = float(value) if abs(value) <= sys.float_info.max else math.inf  # NaN and ints past float's range fail
+    if not (math.isfinite(x) and (low < x if open_low else low <= x) and x <= high):
+        bounds = f"{'(' if open_low else '['}{low:g}, {high:g}]"
+        words = {"(0, inf]": "be positive and finite", "[0, inf]": "be non-negative and finite"}
+        raise ValueError(f"{name} must {words.get(bounds, f'lie in {bounds}')}, got {value!r}")
+    return x
 
 
 def row_blocks(count: int) -> list[slice]:

@@ -622,7 +622,7 @@ class TestStrategyTypes:
     def test_product_b_validation_and_cells(self):
         strategy = half_split_strategy_b(1, 8)
         assert strategy.cells == 8
-        assert strategy.cell_index([0.0, math.pi / 2, math.pi - 1e-9]).tolist() == [0, 4, 7]
+        assert strategy._cell_index([0.0, math.pi / 2, math.pi - 1e-9]).tolist() == [0, 4, 7]
         with pytest.raises(ValueError):
             ProductStrategyB(np.zeros((2, 8), dtype=int))
 

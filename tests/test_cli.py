@@ -348,10 +348,10 @@ class TestExperiment:
         assert json.loads(out)["window"] == 5e-5
 
     def test_invalid_eta_exits_nonzero(self, capsys):
-        code, _ = run_cli(
-            capsys, "experiment", "--task", "A", "--eta", "1.5", "--n-target", "10"
-        )
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "--task", "A", "--eta", "1.5", "--n-target", "10"])
+        assert exc.value.code == 2
+        assert "argument --eta" in capsys.readouterr().err
 
     # sha256 of (report, records TSV, histogram TSV) for GOLDEN_ARGS, recorded
     # from the per-window engine that preceded the columnar one: a change to
