@@ -38,7 +38,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .sampling import enumerate_a, sample_inputs
-from .tasks import Task, check_domain, norm_b, row_blocks, task_value_batch, whole_array, whole_count
+from .tasks import Task, as_task, check_domain, norm_b, row_blocks, task_value_batch, whole_array, whole_count
 
 BRUTE_FORCE_MAX_PARTIES = 4
 EXHAUST_MAX_PARTIES = 10  # exhaustion holds all 4^N products at once: ~40 MB peak at N=10
@@ -291,7 +291,7 @@ def fidelity_mc(
     """
     n_samples = whole_count("n_samples", n_samples, 1)
     wants = _task_of(protocol)
-    if task is not wants:
+    if as_task(task) is not wants:
         raise ValueError(f"{type(protocol).__name__} plays task {wants.value}")
     _check_fit(protocol, tree)
     inputs = sample_inputs(task, tree.n_parties, rng, size=n_samples)
@@ -309,7 +309,7 @@ class ClassicalBound(NamedTuple):
 def classical_bound(task: Task, n_parties: int) -> ClassicalBound:
     """Closed-form optimum over all N-1 bit protocols; success = (1+F)/2."""
     n_parties = whole_count("n_parties", n_parties, 1)
-    if task is Task.A:
+    if as_task(task) is Task.A:
         k = (n_parties + 1) // 2
         fid = 2.0 ** (1 - k)
     else:
@@ -484,14 +484,16 @@ def _ascend(signs: np.ndarray, max_sweeps: int) -> tuple[np.ndarray, np.ndarray]
     every cell to the coefficient's sign, which maximises the conditional
     objective exactly.  Cells whose coefficient is exactly zero keep their
     previous sign (avoids limit cycles).  A sweep updates the parties in
-    turn, each for every restart still ascending at once; a restart drops
-    out after its first unchanged sweep, or after ``max_sweeps``.
+    turn, each for every restart at once.  A restart whose sweep changes
+    nothing is a fixed point, since its update reads only its own row; the
+    ascent stops when every restart is at one, or after ``max_sweeps``.
 
     Returns the fidelities as a (sweeps + 1, restarts) array, row s holding
-    each restart's value after min(s, its sweeps) sweeps, and each
-    restart's trace length.  A changed z_k is recomputed as a (rows, 1, M)
-    product, which rounds as a lone ``row @ cell_int`` does; a 2-D
-    (rows, M) product takes another BLAS path and can differ in the last bit.
+    each restart's value after s sweeps, and each restart's trace length:
+    one more than its sweeps up to its first unchanged one.  A changed z_k
+    is recomputed as a (rows, 1, M) product, which rounds as a lone
+    ``row @ cell_int`` does; a 2-D (rows, M) product takes another BLAS
+    path and can differ in the last bit.
     """
     n, cells = signs.shape[1:]
     cell_int = _cell_integrals(cells)
@@ -499,28 +501,22 @@ def _ascend(signs: np.ndarray, max_sweeps: int) -> tuple[np.ndarray, np.ndarray]
     z = signs @ cell_int
     fids = [_product_fidelity(z, norm)]
     lengths = np.ones(len(signs), dtype=np.int64)
-    active = np.arange(len(signs))
-    live, zl = signs, z  # the tables and z of the active restarts
+    ascending = np.ones(len(signs), dtype=bool)
     for _ in range(max_sweeps):
-        changed = np.zeros(len(active), dtype=bool)
+        lengths += ascending
+        ascending = np.zeros(len(signs), dtype=bool)
         for k in range(n):
-            others = np.prod(np.delete(zl, k, axis=1), axis=1)
+            others = np.prod(np.delete(z, k, axis=1), axis=1)
             coeff = (cell_int * others[:, None]).real
-            new = np.where(coeff > 0.0, 1.0, np.where(coeff < 0.0, -1.0, live[:, k]))
-            moved = (new != live[:, k]).any(axis=1)
+            new = np.where(coeff > 0.0, 1.0, np.where(coeff < 0.0, -1.0, signs[:, k]))
+            moved = (new != signs[:, k]).any(axis=1)
             if moved.any():
-                live[moved, k] = new[moved]
-                zl[moved, k] = (new[moved, None] @ cell_int)[:, 0]
-                changed |= moved
-        fid = fids[-1].copy()
-        fid[active] = _product_fidelity(zl, norm)
-        fids.append(fid)
-        lengths[active] += 1
-        signs[active[~changed]] = live[~changed]
-        active, live, zl = active[changed], live[changed], zl[changed]
-        if not len(active):
+                signs[moved, k] = new[moved]
+                z[moved, k] = (new[moved, None] @ cell_int)[:, 0]
+                ascending |= moved
+        fids.append(_product_fidelity(z, norm))
+        if not ascending.any():
             break
-    signs[active] = live
     return np.array(fids), lengths
 
 

@@ -25,9 +25,9 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import replay, sampling
-from .quantum import _answers, _plus
+from .quantum import _answers, _plus, quantum_fidelity
 from .sampling import RandomStream
-from .tasks import Task, accept_below, check_domain, real_in, task_value_batch, whole_array, whole_count
+from .tasks import Task, accept_below, as_task, check_domain, real_in, task_value_batch, whole_array, whole_count
 
 
 class WindowChoice(NamedTuple):
@@ -47,21 +47,17 @@ def optimize_window(trigger_rate: float) -> WindowChoice:
 def gamma_from_visibility(task: Task, visibility: float) -> float:
     """Conditional correctness given detection, averaged over the inputs.
 
-    With coherence term V cos(sum phases): gamma_A = (1+V)/2 and
-    gamma_B = (1 + V pi/4)/2; V = 1 recovers the ideal protocol limits.
+    With coherence term V cos(sum phases), gamma = (1 + V F)/2 for the ideal protocol's
+    :func:`~qccp.quantum.quantum_fidelity` F (1 for A, pi/4 for B); V = 1 recovers its limits.
     """
     visibility = real_in("visibility", visibility, 0.0, 1.0)
-    if task is Task.A:
-        return (1.0 + visibility) / 2.0
-    return (1.0 + visibility * math.pi / 4.0) / 2.0
+    return (1.0 + visibility * quantum_fidelity(task, 1)) / 2.0
 
 
 def visibility_from_gamma(task: Task, gamma: float) -> float:
     """Exact inverse of :func:`gamma_from_visibility`; errors off-range."""
-    gamma = real_in(f"gamma (task {task.value})", gamma, 0.5, gamma_from_visibility(task, 1.0))
-    if task is Task.A:
-        return 2.0 * gamma - 1.0
-    return (2.0 * gamma - 1.0) / (math.pi / 4.0)
+    gamma = real_in(f"gamma (task {as_task(task).value})", gamma, 0.5, gamma_from_visibility(task, 1.0))
+    return (2.0 * gamma - 1.0) / quantum_fidelity(task, 1)
 
 
 @dataclass(frozen=True)
@@ -77,6 +73,7 @@ class ExperimentParams:
     n_target: int  # accepted runs to collect
 
     def __post_init__(self):
+        as_task(self.task)
         object.__setattr__(self, "n_parties", whole_count("n_parties", self.n_parties, 1))
         object.__setattr__(self, "n_target", whole_count("n_target", self.n_target, 1))
         for name, *interval in (("trigger_rate", 0.0, math.inf, True), ("window", 0.0, math.inf, True),

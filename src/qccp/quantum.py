@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tasks import Task, accept_below, check_domain, coherence, real_in, whole_count
+from .tasks import Task, accept_below, as_task, check_domain, coherence, real_in, whole_count
 
 NORM_TOL = 1e-9
 
@@ -99,7 +99,7 @@ def run_quantum_batch(
     B's through :func:`qccp.tasks.accept_below`, as float64 cosines would.
     """
     plus = _plus(visibility)
-    rows = coherence(task, inputs) if task is Task.A else check_domain(task, inputs)
+    rows = coherence(task, inputs) if as_task(task) is Task.A else check_domain(task, inputs)
     return _answers(task, rows, rng.random(len(rows)), plus)
 
 
@@ -118,4 +118,4 @@ def run_quantum(task: Task, inputs: Sequence, visibility: float, rng: np.random.
 def quantum_fidelity(task: Task, n_parties: int) -> float:
     """Fidelity of the single-qubit protocol: 1 for A, pi/4 for B, any N."""
     whole_count("n_parties", n_parties, 1)
-    return 1.0 if task is Task.A else math.pi / 4.0
+    return 1.0 if as_task(task) is Task.A else math.pi / 4.0

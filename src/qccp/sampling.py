@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tasks import ROW_BLOCK, Task, accept_below, row_sum, whole_count
+from .tasks import ROW_BLOCK, Task, accept_below, as_task, row_sum, whole_count
 
 MAX_ENUM_PARTIES = 10
 DEFAULT_MAX_REJECTION_ROUNDS = 10_000
@@ -27,6 +27,10 @@ class RandomStream:
 
     seed: int
     stream_id: int = 0
+
+    def __post_init__(self):
+        for name in ("seed", "stream_id"):
+            object.__setattr__(self, name, whole_count(name, getattr(self, name)))
 
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
@@ -164,6 +168,6 @@ def enumerate_a(n_parties: int) -> tuple[np.ndarray, np.ndarray]:
 
 def sample_inputs(task: Task, n_parties: int, rng: np.random.Generator, size: int) -> np.ndarray:
     """Task-dispatching sampler used by Monte Carlo and experiment code: (size, N) rows."""
-    if task is Task.A:
+    if as_task(task) is Task.A:
         return sample_a(n_parties, rng, size=size)
     return sample_b(n_parties, rng, size=size)

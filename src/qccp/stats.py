@@ -88,10 +88,10 @@ class Histogram:
     def __post_init__(self):
         object.__setattr__(self, "counts", whole_array("counts", self.counts, 0, None))
         edges = np.asarray(self.bin_edges)
-        if len(self.counts) != len(edges) - 1:
-            raise ValueError("counts length must be edges length - 1")
-        if edges.dtype.kind not in "biuf" or not np.isfinite(edges).all():
-            raise ValueError("bin_edges must be finite numbers")
+        if edges.ndim != 1 or edges.dtype.kind not in "biuf" or not np.isfinite(edges).all():
+            raise ValueError("bin_edges must be a 1-D array of finite numbers")
+        if self.counts.ndim != 1 or len(self.counts) != len(edges) - 1:
+            raise ValueError("counts must be a 1-D array, one entry shorter than bin_edges")
         if np.any(np.diff(edges) <= 0):
             raise ValueError("bin edges must be strictly increasing")
         object.__setattr__(self, "block_size", whole_count("block_size", self.block_size, 1))

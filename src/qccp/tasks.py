@@ -76,7 +76,7 @@ def check_domain(task: Task, rows, reduced: bool = False) -> np.ndarray:
     follow :func:`whole_array`; a phase that is NaN, complex, text or an
     object fails.
     """
-    arr = np.asarray(rows)
+    task, arr = as_task(task), np.asarray(rows)
     if arr.ndim != 2 or arr.shape[1] < 1:
         raise ValueError(f"expected a (rows, N) array with N >= 1, got shape {arr.shape}")
     if task is Task.A:
@@ -85,6 +85,13 @@ def check_domain(task: Task, rows, reduced: bool = False) -> np.ndarray:
     if arr.dtype.kind not in "biuf" or arr.size and not (0 <= arr.min() and arr.max() < top):
         raise ValueError(message)
     return arr.astype(np.float64, copy=False)
+
+
+def as_task(task) -> Task:
+    """``task`` as a :class:`Task` member, every task argument's one rule: anything else, text too, fails."""
+    if not isinstance(task, Task):
+        raise TypeError(f"task must be Task.A or Task.B, got {task!r}")
+    return task
 
 
 def whole_array(name: str, values, low: int = -1, high: int | None = 1, dtype=np.int64) -> np.ndarray:
@@ -245,7 +252,7 @@ def task_value_batch(task: Task, inputs) -> np.ndarray:
     exact coherence; task B's sign is 0 < cos, decided by
     :func:`accept_below`, whose margin is the smallest settled |cos|.
     """
-    if task is Task.A:
+    if as_task(task) is Task.A:
         return coherence(task, inputs)
     arr = check_domain(task, inputs)
     positive, tie = accept_below(np.broadcast_to(0.0, len(arr)), arr, lambda c: c)
@@ -267,7 +274,7 @@ def decompose_batch(task: Task, inputs: np.ndarray) -> tuple[np.ndarray, np.ndar
     Takes rows that passed :func:`check_domain`, and returns (x, y) arrays
     of their shape; y is int64 +-1.
     """
-    if task is Task.A:
+    if as_task(task) is Task.A:
         return inputs % 2, np.where(inputs < 2, 1, -1)
     flip = inputs >= math.pi
     return np.where(flip, inputs - math.pi, inputs), np.where(flip, -1, 1)

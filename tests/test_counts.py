@@ -15,7 +15,6 @@ import re
 import numpy as np
 import pytest
 
-import qccp
 from qccp import (
     CommTree,
     ExperimentParams,
@@ -42,10 +41,11 @@ from qccp import (
     stream_runs,
 )
 from qccp.sampling import RandomStream
+from support import plain, public_callables
 
 COUNT_PARAMETERS = {
     "n_parties", "size", "n_samples", "restarts", "n_target", "block_size", "streams",
-    "index", "parents", "n", "successes", "cells", "max_rounds", "max_sweeps",
+    "index", "parents", "n", "successes", "cells", "max_rounds", "max_sweeps", "seed", "stream_id",
 }
 
 
@@ -85,6 +85,7 @@ CASES = {
         {"block_size": 5},
         lambda h: (h.block_size,),
     ),
+    "RandomStream": (RandomStream, {"seed": 3, "stream_id": 1}, lambda s: (s.seed, s.stream_id)),
     "SuccessStats": (
         lambda n, successes: SuccessStats(n, successes, 0.1),
         {"n": 10, "successes": 7},
@@ -139,24 +140,13 @@ CASES = {
         no_ints,
     ),
     "stream_runs": (
-        lambda streams: stream_runs(params(), 1, streams),
-        {"streams": 2},
+        lambda seed, streams: stream_runs(params(), seed, streams),
+        {"seed": 1, "streams": 2},
         lambda chunks: tuple(i for i, _ in chunks),
     ),
 }
 
 CASE_PARAMETERS = [(name, param) for name, (_, counts, _) in CASES.items() for param in counts]
-
-
-def public_callables():
-    """(name, object) for each name in ``qccp.__all__`` and each public classmethod of a class there."""
-    for name in qccp.__all__:
-        obj = getattr(qccp, name)
-        yield name, obj
-        if inspect.isclass(obj):
-            for attr, raw in vars(obj).items():
-                if isinstance(raw, classmethod) and not attr.startswith("_"):
-                    yield f"{name}.{attr}", getattr(obj, attr)
 
 
 def count_parameters(obj) -> set[str]:
@@ -170,17 +160,6 @@ def with_counts(counts: dict, name: str, make) -> dict:
     """``counts`` with ``make`` applied to count ``name``, or to each count of a tuple of them."""
     value = counts[name]
     return {**counts, name: tuple(map(make, value)) if isinstance(value, tuple) else make(value)}
-
-
-def plain(value):
-    """Arrays, dataclasses and tuples as comparable plain values, types included."""
-    if isinstance(value, np.ndarray):
-        return value.dtype.str, value.shape, value.tobytes()
-    if dataclasses.is_dataclass(value):
-        return type(value).__name__, plain(tuple(getattr(value, f.name) for f in dataclasses.fields(value)))
-    if isinstance(value, (tuple, list)):
-        return type(value).__name__, tuple(plain(v) for v in value)
-    return type(value).__name__, value
 
 
 def test_every_count_taking_callable_has_a_case():
@@ -228,6 +207,8 @@ BELOW_MINIMUM = {
     "parents[0] must be >= 0, got -1": lambda: CommTree(3, (-1, 2)),
     "n must be >= 1, got 0": lambda: SuccessStats(0, 0, 0.0),
     "streams must be >= 1, got 0": lambda: stream_runs(params(), 1, 0),
+    "seed must be >= 0, got -1": lambda: RandomStream(-1),
+    "stream_id must be >= 0, got -1": lambda: RandomStream(1, -1),
 }
 
 

@@ -1,9 +1,10 @@
 """One real-number rule for the whole public API: ``tasks.real_in``.
 
-Every callable in ``qccp.__all__`` with a real-valued scalar parameter (the
-set-up's trigger rate, window, eta, visibility and gamma, and the statistics'
-sigma, classical bound, z and bin width) has a case in CASES, so a new entry
-point without one fails ``test_every_real_taking_callable_has_a_case``.  For
+Every callable in ``qccp.__all__``, and every public classmethod of a class
+there, with a real-valued scalar parameter (the set-up's trigger rate, window,
+eta, visibility and gamma, and the statistics' sigma, classical bound, z and
+bin width) has a case in CASES, so a new entry point without one fails
+``test_every_real_taking_callable_has_a_case``.  For
 each case, text, complex, None or an array of values raises a TypeError that
 names the argument, and NaN, inf or a value outside the argument's interval a
 ValueError that names it.  A numpy scalar or 0-d array gives the result a
@@ -40,6 +41,7 @@ from qccp import (
 )
 from qccp.cli import main
 from qccp.sampling import RandomStream
+from support import plain, public_callables
 
 REAL_PARAMETERS = {
     "trigger_rate", "window", "eta", "visibility", "gamma", "sigma", "classical_p", "z", "bin_width",
@@ -133,20 +135,8 @@ def real_parameters(obj) -> set[str]:
         return set()
 
 
-def plain(value):
-    """Arrays, dataclasses and tuples as comparable plain values, types included."""
-    if isinstance(value, np.ndarray):
-        return value.dtype.str, value.shape, value.tobytes()
-    if dataclasses.is_dataclass(value):
-        return type(value).__name__, plain(tuple(getattr(value, f.name) for f in dataclasses.fields(value)))
-    if isinstance(value, (tuple, list)):
-        return type(value).__name__, tuple(plain(v) for v in value)
-    return type(value).__name__, value
-
-
 def test_every_real_taking_callable_has_a_case():
-    taking = {name: real_parameters(getattr(qccp, name)) for name in qccp.__all__
-              if getattr(qccp, name) is not RESULT}
+    taking = {name: real_parameters(obj) for name, obj in public_callables() if obj is not RESULT}
     assert {name for name, reals in taking.items() if reals} == set(CASES)
     for name, (_, reals, bad, _) in CASES.items():
         assert set(reals) == set(bad) == taking[name], name

@@ -194,3 +194,11 @@ class TestBlockHistogram:
     def test_histogram_refuses_non_finite_edges(self, edges):
         with pytest.raises(ValueError, match="finite"):
             Histogram(bin_edges=edges, counts=[1] * (len(edges) - 1), block_size=1)
+
+    @pytest.mark.parametrize("edges, counts, name", [
+        ([[0, 1], [1, 2]], [1], "bin_edges"), ([0, 1, 2], [[1], [2]], "counts"), (1.0, [1], "bin_edges"),
+        ([0.0, 1.0], 1, "counts"),
+    ])
+    def test_histogram_refuses_arrays_that_are_not_1d(self, edges, counts, name):
+        with pytest.raises(ValueError, match=f"^{name} must be a 1-D array"):
+            Histogram(bin_edges=edges, counts=counts, block_size=1)
