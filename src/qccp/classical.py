@@ -15,13 +15,14 @@ such a product strategy factorises over the parties too, as
 small N this module also certifies the reduction itself over ALL general
 message-table protocols, product form or not.  The root's table, which
 enters the fidelity linearly, is maximised in closed form; so is every table
-of the last sender at once, by one matrix product per combination of the
-other senders' tables, which alone are enumerated one by one.
+of the last sender at once, by one matrix product.  Only the other senders'
+table combinations are enumerated, in batches of bounded size that each
+take one ``bincount`` and one matrix product.
 
 A general protocol passes its messages through :func:`_input_cells` over a
-batch of input rows, in single runs, Monte Carlo estimates and the
-exhaustive search alike; a product strategy answers with one table lookup
-per party.
+batch of input rows, in single runs and Monte Carlo estimates alike, and the
+exhaustive search follows the same send plan with a leading axis of table
+combinations; a product strategy answers with one table lookup per party.
 
 Closed-form optima:
     task A:  F = 2^(1-K), K = ceil(N/2)         (success (1+F)/2, 5/8 at N=5)
@@ -30,7 +31,6 @@ Closed-form optima:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
@@ -45,6 +45,7 @@ EXHAUST_MAX_PARTIES = 10  # exhaustion holds all 4^N products at once: ~40 MB pe
 MIN_GRID_CELLS = 8  # fewest phase cells per party that coordinate ascent takes
 ASCENT_BLOCK = 32  # restarts that optimize_strategy_b ascends together
 MAX_SWEEPS = 500  # coordinate-ascent sweeps before a restart is stopped unconverged
+_BATCH_SCORES = 1 << 18  # last-sender scores per brute-force batch: 2^16 tables x 4 root states
 
 
 @dataclass(frozen=True)
@@ -394,23 +395,42 @@ def _last_sender_fidelities(tree: CommTree, digits: np.ndarray, tw: np.ndarray):
     The returned ``score(tables)`` gives that fidelity for each of the last
     sender's tables, by index; the last sender's entry of ``tables`` is
     ignored.
+
+    The other entries may share a leading axis of b combinations, each
+    (b, 4, 2^c), and the scores are then (b, last sender's tables).  The
+    cells follow the send plan as :func:`_input_cells` does, with that batch
+    axis in front: a row's received bit is one gather at (combination,
+    cell), the root's state leaves the last sender's bit out, and one
+    ``bincount`` with a per-combination offset fills all b of the A.
     """
     plan = _send_plan(tree)
-    root = tree.n_parties - 1
-    last = tree.send_order()[-1]
-    bit = tree.children(root).index(last)
-    n_cells, root_dim = 4 << len(tree.children(last)), 4 << len(tree.children(root))
+    (last, heard), (root, heard_by_root) = plan[-2:]
+    n_cells, n_states = 4 << len(heard), 2 << len(heard_by_root)
     # [t = +1] per cell of each table t: bit e of t's index clear, as _sign_tables decodes it
-    plus = 1.0 - (np.arange(1 << n_cells)[:, None] >> np.arange(n_cells) & 1)
-    clear = np.flatnonzero(((np.arange(root_dim) >> bit) & 1) == 0)
+    plus = 1.0 - (np.arange(1 << n_cells) >> np.arange(n_cells)[:, None] & 1)
 
     def score(tables) -> np.ndarray:
-        cells = _input_cells(plan, tables, digits)
-        flat = cells[last] * root_dim + (cells[root] & ~(1 << bit))
-        a = np.bincount(flat, weights=tw, minlength=n_cells * root_dim)
-        a = a.reshape(n_cells, root_dim)[:, clear]
-        p = plus @ a
-        return np.abs(p).sum(axis=1) + np.abs(a.sum(axis=0) - p).sum(axis=1)
+        # the batch axes, read off the first sender's table unless the last sender is the only one
+        lead = np.shape(tables[plan[0][0]])[:-2] if len(plan) > 2 else ()
+        combo = np.arange(math.prod(lead))[:, None]
+        sent, cells = {}, {}
+        for k, children in plan:
+            kept = [child for child in children if child != last]
+            cell = digits[:, k] << len(kept)
+            for j, child in enumerate(kept):
+                cell = cell + (sent[child][combo, cells[child]] << j)
+            cells[k] = cell
+            if k not in (last, root):
+                sent[k] = (1 - np.reshape(tables[k], (len(combo), -1))) // 2
+        flat = (combo * n_cells + cells[last]) * n_states + cells[root]
+        weights = tw[None].repeat(len(combo), axis=0).ravel()
+        a = np.bincount(flat.ravel(), weights, len(combo) * n_cells * n_states)
+        a = a.reshape(-1, n_cells, n_states).transpose(0, 2, 1)
+        p = a @ plus
+        twins = a.sum(axis=2)[:, :, None] - p
+        fids = np.abs(p, out=p)
+        fids += np.abs(twins, out=twins)
+        return fids.sum(axis=1).reshape(*lead, -1)
 
     return score
 
@@ -423,39 +443,57 @@ def brute_force_bound_a(tree: CommTree) -> BruteForceResult:
     |sum_s r_s v_s|, whose maximum over all 2^(4*2^c) root tables is exactly
     sum_s |v_s|, reached by r = +-sign(v).  The root table is therefore
     maximised in closed form, and the last sender's tables are all scored at
-    once by one matrix product (:func:`_last_sender_fidelities`); only the
-    other senders' table combinations are enumerated one by one.
-    ``search_space`` still counts every protocol the search covers.  The
-    arithmetic is exact in dyadic values, which certifies both the bound and
-    the product-form reduction at these sizes.  Ties go to the lowest
-    protocol index: the sender tables' indices compared in party order, then
-    the root table as a mask with bit s set where r_s = -1.
+    once by one matrix product (:func:`_last_sender_fidelities`).  The other
+    senders' table combinations go to that scorer in batches: as many as
+    keep a batch's scores within ``_BATCH_SCORES`` entries, the size one
+    unbatched call over a two-child last sender's 2^16 tables reaches, so
+    memory stays bounded whatever the tree.  ``search_space`` still counts
+    every protocol the search covers.  The arithmetic is exact in dyadic
+    values, which certifies both the bound and the product-form reduction at
+    these sizes, in any summation order.
+
+    Ties go to the lowest protocol index: the sender tables' indices
+    compared in party order, then the root table as a mask with bit s set
+    where r_s = -1.  Each (combination, last sender's table) pair has a
+    mixed-radix rank in that order; each batch offers the lowest rank among
+    its maxima, and batches are compared by that rank, since a later batch
+    can hold a lower one when the last sender is not party N-2.
     """
     n = tree.n_parties
     if not 2 <= n <= BRUTE_FORCE_MAX_PARTIES:
         raise ValueError(f"brute force supports 2 <= N <= {BRUTE_FORCE_MAX_PARTIES}")
     tuples, weights = enumerate_a(n)
     tw = weights * task_value_batch(Task.A, tuples)
-    shapes = [(4, 1 << len(tree.children(k))) for k in range(n)]
-    search_space = math.prod(1 << (r * c) for r, c in shapes)
+    plan = _send_plan(tree)
+    shapes = [(4, 1 << len(children)) for _, children in sorted(plan)]
+    counts = [1 << (r * c) for r, c in shapes]
+    search_space = math.prod(counts)
 
     score = _last_sender_fidelities(tree, tuples, tw)
-    last = tree.send_order()[-1]
-    # every table of each sender, but a placeholder for the last: score rates all of its tables
-    options = [_sign_tables(np.arange(1 if k == last else 1 << (r * c)), (r, c))
-               for k, (r, c) in enumerate(shapes[:-1])]
-    best_fid, best_key = -1.0, ()
-    for key in itertools.product(*(range(len(t)) for t in options)):
-        fids = score([t[i] for t, i in zip(options, key)])
-        # the lowest maximiser in this batch; a later batch can still hold a
-        # lower index tuple when the last sender is not party N-2
-        i = int(np.argmax(fids))
-        key = (*key[:last], i, *key[last + 1 :])
-        if fids[i] > best_fid or (fids[i] == best_fid and key < best_key):
-            best_fid, best_key = float(fids[i]), key
+    last = plan[-2][0]
+    others = [k for k in range(n - 1) if k != last]
+    options = {k: _sign_tables(np.arange(counts[k]), shapes[k]) for k in others}
+    strides = [math.prod(counts[k + 1 : n - 1]) for k in range(n - 1)]  # each sender's weight in the rank
+    # a combination's scores: every last-sender table times the root states with its bit clear
+    batch = max(1, _BATCH_SCORES // (counts[last] * 2 * shapes[-1][1]))
+    combos = math.prod(counts[k] for k in others)
+    best_fid, best_rank = -1.0, 0
+    for first in range(0, combos, batch):
+        rest = np.arange(first, min(first + batch, combos))
+        rank, tables = np.zeros_like(rest), [None] * (n - 1)
+        for k in reversed(others):  # party order: the lowest party's index varies slowest
+            rest, index = np.divmod(rest, counts[k])
+            rank, tables[k] = rank + index * strides[k], options[k][index]
+        fids = score(tables).reshape(-1, counts[last])
+        top = fids.max()
+        if top >= best_fid:
+            combo, table = np.nonzero(fids == top)
+            lowest = int((rank[combo] + table * strides[last]).min())
+            if top > best_fid or lowest < best_rank:
+                best_fid, best_rank = float(top), lowest
 
-    senders = tuple(_sign_tables(i, shape) for i, shape in zip(best_key, shapes))
-    state = _input_cells(_send_plan(tree), senders, tuples)[n - 1]
+    senders = tuple(_sign_tables(best_rank // s % c, shape) for s, c, shape in zip(strides, counts, shapes))
+    state = _input_cells(plan, senders, tuples)[n - 1]
     root = _best_root(np.bincount(state, weights=tw, minlength=math.prod(shapes[-1])))
     protocol = GeneralProtocolA(tree=tree, tables=(*senders, root.reshape(shapes[-1])))
     return BruteForceResult(best_fid, protocol, search_space)

@@ -271,10 +271,12 @@ def decompose_batch(task: Task, inputs: np.ndarray) -> tuple[np.ndarray, np.ndar
 
     Task A: X_k = (1 - y_k) + x_k with x_k = X_k mod 2, y_k = +1 for X_k < 2.
     Task B: X_k = pi (1 - y_k)/2 + x_k with x_k in [0, pi).
-    Takes rows that passed :func:`check_domain`, and returns (x, y) arrays
-    of their shape; y is int64 +-1.
+    The rows pass :func:`check_domain` first, as :func:`compose`'s do, so a
+    digit or phase outside the domain raises its ``ValueError``.  Returns
+    (x, y) arrays of the rows' shape; y is int64 +-1.
     """
-    if as_task(task) is Task.A:
+    inputs = check_domain(task, inputs)
+    if task is Task.A:
         return inputs % 2, np.where(inputs < 2, 1, -1)
     flip = inputs >= math.pi
     return np.where(flip, inputs - math.pi, inputs), np.where(flip, -1, 1)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 from unittest import mock
 
@@ -369,6 +370,26 @@ CERTIFIED_TREES = {
 }
 
 
+def labelled_trees(n):
+    """Every tree on parties 0..n-1 rooted at party n-1, by its parents tuple."""
+    trees = []
+    for parents in itertools.product(range(n), repeat=n - 1):
+        try:
+            trees.append(CommTree(n, parents))
+        except ValueError:  # a self-loop or a cycle
+            pass
+    return trees
+
+
+def last_sender_children(tree):
+    return len(tree.children(tree.send_order()[-1]))
+
+
+# every 3-party tree, and the 4-party trees whose last sender hears at most
+# one child; among them trees whose last sender is not party N-2
+BATCHED_TREES = [*labelled_trees(3), *(t for t in labelled_trees(4) if last_sender_children(t) < 2)]
+
+
 class TestBruteForce:
     def test_n2_chain(self):
         result = brute_force_bound_a(CommTree.chain(2))
@@ -463,6 +484,71 @@ class TestBruteForce:
         assert result.max_fidelity == fid
         assert [t.tolist() for t in result.protocol.tables] == [t.tolist() for t in tables]
         assert result.search_space == space
+
+    # recorded from the search that scored one combination of the other
+    # senders' tables per call
+    @pytest.mark.parametrize(
+        "name, golden",
+        [
+            (
+                "chain-4",
+                [
+                    [[-1], [-1], [1], [1]],
+                    [[1, -1], [1, -1], [-1, 1], [-1, 1]],
+                    [[1, -1], [1, -1], [-1, 1], [-1, 1]],
+                    [[1, -1], [1, -1], [-1, 1], [-1, 1]],
+                ],
+            ),
+            (
+                "star-4",
+                [
+                    [[-1], [-1], [1], [1]],
+                    [[-1], [-1], [1], [1]],
+                    [[-1], [-1], [1], [1]],
+                    [
+                        [1, -1, -1, 1, -1, 1, 1, -1],
+                        [1, -1, -1, 1, -1, 1, 1, -1],
+                        [-1, 1, 1, -1, 1, -1, -1, 1],
+                        [-1, 1, 1, -1, 1, -1, -1, 1],
+                    ],
+                ],
+            ),
+        ],
+    )
+    def test_four_party_argmax_tables_golden(self, name, golden):
+        tables = brute_force_bound_a(CERTIFIED_TREES[name]).protocol.tables
+        assert [t.tolist() for t in tables] == golden
+
+    @pytest.mark.parametrize("combos", [1, 3])
+    @pytest.mark.parametrize("tree", BATCHED_TREES, ids=lambda t: "parents-" + "".join(map(str, t.parents)))
+    def test_ties_hold_across_batch_boundaries(self, tree, combos):
+        want = brute_force_bound_a(tree)
+        n, last = tree.n_parties, tree.send_order()[-1]
+        tables = 2 ** (4 << last_sender_children(tree))
+        root_states = 2 << len(tree.children(n - 1))
+        sizes, scorer = [], classical._last_sender_fidelities
+
+        def counting_scorer(*args):
+            score = scorer(*args)
+
+            def counted(batch):
+                fids = score(batch)
+                sizes.append(math.prod(fids.shape[:-1]))
+                return fids
+
+            return counted
+
+        with (
+            mock.patch.object(classical, "_BATCH_SCORES", combos * tables * root_states),
+            mock.patch.object(classical, "_last_sender_fidelities", counting_scorer),
+        ):
+            got = brute_force_bound_a(tree)
+        assert sizes[:-1] == [combos] * (len(sizes) - 1) and 1 <= sizes[-1] <= combos
+        others = [k for k in range(n - 1) if k != last]
+        assert sum(sizes) == math.prod(2 ** (4 << len(tree.children(k))) for k in others)
+        assert got.max_fidelity == want.max_fidelity
+        assert [t.tolist() for t in got.protocol.tables] == [t.tolist() for t in want.protocol.tables]
+        assert got.search_space == want.search_space
 
     @pytest.mark.parametrize("name", ["chain-3", "star-3", "chain-4", "star-4"])
     def test_last_sender_scores_are_one_bincount_per_table(self, name):

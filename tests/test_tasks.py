@@ -273,6 +273,16 @@ class TestDecomposition:
         assert back[0, 0] < TWO_PI and abs(back[0, 0] - (math.pi + below_pi)) <= math.ulp(TWO_PI)
         assert density_b(back) > 0.0
 
+    def test_decompose_checks_its_inputs(self):
+        with pytest.raises(ValueError, match=re.escape("task A digits must be")):
+            decompose_batch(Task.A, np.array([[9, -3]]))
+        with pytest.raises(ValueError, match=re.escape("task B inputs must lie in [0, 2*pi)")):
+            decompose_batch(Task.B, np.array([[9.5, -3.0]]))
+
+    def test_decompose_takes_plain_lists(self):
+        x, y = decompose_batch(Task.A, [[0, 1], [3, 2]])
+        assert x.tolist() == [[0, 1], [1, 0]] and y.tolist() == [[1, 1], [-1, -1]]
+
     def test_identity_exhaustive_a_through_n6(self):
         # task_value(X) == prod(y) * the target on x, on every promised tuple
         for n in range(1, 7):
