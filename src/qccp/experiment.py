@@ -178,14 +178,14 @@ def experimental_fidelity(eta: float, gamma: float) -> float:
     return eta * (2.0 * gamma - 1.0)
 
 
-# raw words drawn at a time, unless one window needs more; bounds working memory
-# (see _simulate for the choice)
+# doubles drawn at a time into the engine's buffer, unless one window needs more;
+# bounds working memory (see _simulate for the choice)
 CHUNK_WORDS = 1 << 16
 _TWO_PI = 2.0 * math.pi
 
 
 class _Walk:
-    """Window boundaries in a chunk of generator words, found window by window.
+    """Window boundaries in a chunk of doubles, one per generator word, found window by window.
 
     Per window it reads only the few doubles that decide where the window
     ends: the trigger count's draws.  The input draws are skipped over:
@@ -219,32 +219,60 @@ class _Walk:
             del log[i:]
 
     def run(self, d, p: int, end: int) -> int:
-        """Walk whole windows from word p of the doubles d[:end]; returns where they end."""
-        task_a, n, mu = self.task_a, self.n, self.mu
-        exp_neg_mu = math.exp(-mu)
+        """Walk whole windows from word p of the doubles d[:end]; returns where they end.
+
+        The trigger count is numpy's ``random_poisson``: no draw for mu = 0,
+        below 10 the product of uniforms until it reaches exp(-mu), which
+        runs here inline, and from 10 on PTRS (:func:`qccp.replay.poisson`).
+        """
+        task_a, n, mu, round_words = self.task_a, self.n, self.mu, self.round_words
+        exp_neg_mu, ptrs = math.exp(-mu), mu >= 10.0
         counts, ends, starts = self.counts, self.ends, self.starts
-        while self.targets and self.windows:
-            start = p
-            if task_a:
-                take = n - self.spare  # 32-bit draws still to make, two per word
-                p += (take + 1) >> 1
-            else:
-                p += self.round_words
-            if p > end:
-                return start
-            k, p = replay.poisson(d, p, end, mu, exp_neg_mu)  # (-1, end) if d runs out
-            p += (k == 1) + 1  # the detection draw if accepted, then the answer draw
-            if p > end:
-                return start
-            if task_a:
-                self.spare = take & 1
-            else:
-                starts.append(start)
-            counts.append(k)
-            ends.append(p)
-            self.targets -= k == 1
-            self.windows -= 1
-        return p
+        targets, windows, spare = self.targets, self.windows, self.spare
+        try:
+            while targets and windows:
+                start = p
+                if task_a:
+                    take = n - spare  # 32-bit draws still to make, two per word
+                    p += (take + 1) >> 1
+                else:
+                    p += round_words
+                if ptrs:
+                    if p > end:
+                        return start
+                    k, p = replay.poisson(d, p, end, mu)  # (-1, end) if d runs out
+                else:
+                    k = 0
+                    if mu > 0.0:
+                        prod = 1.0
+                        while True:
+                            if p >= end:
+                                return start
+                            prod *= d[p]
+                            p += 1
+                            if prod <= exp_neg_mu:
+                                break
+                            k += 1
+                # the detection draw if accepted, then the answer draw
+                if k == 1:
+                    p += 2
+                    if p > end:
+                        return start
+                    targets -= 1
+                else:
+                    p += 1
+                    if p > end:
+                        return start
+                if task_a:
+                    spare = take & 1
+                else:
+                    starts.append(start)
+                counts.append(k)
+                ends.append(p)
+                windows -= 1
+            return p
+        finally:
+            self.targets, self.windows, self.spare = targets, windows, spare
 
     def settle(self, d: np.ndarray, p: int) -> tuple[int, np.ndarray]:
         """Check task B's rounds; re-walk from each that rejected every proposal.
@@ -292,22 +320,28 @@ def _first_accepted(d: np.ndarray, starts: np.ndarray, n: int, proposals: int) -
 def _simulate(params: ExperimentParams, rng: np.random.Generator, max_windows: int) -> Runs:
     """Windows until n_target are accepted or max_windows have run.
 
-    Replays the per-window draws of :func:`simulate_run` from raw words (see
-    :mod:`qccp.replay`).  The words are drawn in chunks, each prepended with
-    the words the last one left unread.  A chunk may hold more words than
-    the run reads, so the generator state is saved before each draw; after
-    the last chunk it is restored, and only the words that chunk's windows
-    read are drawn again, so the generator ends exactly where the
-    per-window calls leave it.  Truth, detection and answers are then
-    computed once over the columns.
+    Replays the per-window draws of :func:`simulate_run` from ``random()``
+    doubles drawn in bulk: each of the draws is made from one 64-bit word,
+    and ``random()`` of a word w is (w >> 11) 2**-53, which keeps every bit
+    task A's 32-bit draws read (see :func:`_digits`).  The doubles are drawn
+    in chunks into one buffer, each after the doubles the last chunk left
+    unread, moved to its front.  A chunk may hold more doubles than the run
+    reads, so the generator state is saved before each draw; after the last
+    chunk it is restored, and only the words that chunk's windows read are
+    drawn again, so the generator ends exactly where the per-window calls
+    leave it.  Truth, detection and answers are then computed once over the
+    columns.
 
-    A draw is CHUNK_WORDS words, or the fewest the remaining windows can
-    draw if that is less, and at least twice the unread words, so a window
-    that did not fit soon does.  Each chunk costs a fixed hundred or two
-    numpy calls, most of them task B's rejection check.  At 1 << 16 words a chunk
-    holds about 650 task B windows, and the preset B run takes about 75
-    chunks, not the 600 of 1 << 13; 1 << 17 gained no more time and costs
-    another megabyte.
+    The buffer holds CHUNK_WORDS doubles, or the fewest the run can draw if
+    that is less.  A draw fills it, or draws the fewest the remaining
+    windows can, and at least twice the unread doubles, so a window that did
+    not fit soon does; the buffer grows only when that one window needs more
+    than it holds.  Each chunk costs a fixed hundred or two numpy calls,
+    most of them task B's rejection check.  At 1 << 16 words a chunk holds
+    about 650 task B windows, and the preset B run takes about 75 chunks,
+    not the 600 of 1 << 13.  1 << 17 ran the preset B engine about 15%
+    faster in process (48 against 56 ms), but a benchmark run of both
+    presets only about 3% faster, for 1.3 MiB more peak RSS.
     """
     bits = rng.bit_generator
     replay.check_replayable(bits)
@@ -321,18 +355,23 @@ def _simulate(params: ExperimentParams, rng: np.random.Generator, max_windows: i
     # then task B's phases; one block that doubles, not an array per chunk
     table = np.zeros((min(max_windows, 1024), 3 + (0 if task_a else n)))
     windows = 0
-    input_words = []  # task A: the words sample_a drew, per chunk
-    tail = np.empty(0, dtype=np.uint64)  # the words the last chunk left unread
+    input_doubles = []  # task A: the doubles of the words sample_a drew, per chunk
+    buf = np.empty(min(fewest * walk.windows, CHUNK_WORDS))
+    d, p = buf[:0], 0
     while walk.targets and walk.windows:
-        size = max(min(fewest * walk.windows, CHUNK_WORDS), 2 * len(tail))
-        saved, kept = bits.state, len(tail)
-        words = np.concatenate([tail, bits.random_raw(size)])
-        d = replay.doubles(words)
+        tail = d[p:]  # the doubles the last chunk left unread: the start of one window
+        kept = len(tail)
+        size = max(min(fewest * walk.windows, len(buf) - kept), 2 * kept)
+        if kept + size > len(buf):
+            buf = np.empty(kept + size)
+        buf[:kept] = tail
+        saved = bits.state
+        rng.random(out=buf[kept : kept + size])
+        d = buf[: kept + size]
         spare = walk.spare
         p = walk.run(memoryview(d), 0, len(d))
         if not task_a:
             p, first = walk.settle(d, p)
-        tail = words[p:].copy()  # a copy, so that the del below frees the chunk
         added = len(walk.counts)
         if not added:
             continue
@@ -354,13 +393,12 @@ def _simulate(params: ExperimentParams, rng: np.random.Generator, max_windows: i
             starts = np.concatenate(([0], ends[:-1]))
             drawn = (n * np.arange(added + 1) - spare + 1) >> 1
             at = np.repeat(starts - drawn[:-1], np.diff(drawn)) + np.arange(drawn[-1])
-            input_words.append(words[at])
+            input_doubles.append(d[at])
         else:
             starts = np.array(walk.starts, dtype=np.intp) + n * first
             rows[:, 3:] = _TWO_PI * d[starts[:, None] + np.arange(n)]
         windows += added
         walk.reset()
-        del words, d  # before the next draw: the heap then holds one chunk, not two
     # give back the over-draw: the run ended on a window the last chunk completed, past kept
     bits.state = saved
     bits.random_raw(p - kept, output=False)
@@ -368,7 +406,7 @@ def _simulate(params: ExperimentParams, rng: np.random.Generator, max_windows: i
     counts = table[:windows, 0].astype(np.int64)
     u_det, u_ans = table[:windows, 1], table[:windows, 2]
     if task_a:
-        inputs = _digits(bits, n, windows, np.concatenate(input_words))
+        inputs = _digits(bits, n, windows, np.concatenate(input_doubles))
     else:
         inputs = table[:windows, 3:].copy()
     truth = task_value_batch(params.task, inputs)
@@ -379,26 +417,33 @@ def _simulate(params: ExperimentParams, rng: np.random.Generator, max_windows: i
     return Runs(inputs, counts, detected, answer, truth)
 
 
-def _digits(bits: np.random.BitGenerator, n: int, windows: int, words: np.ndarray) -> np.ndarray:
-    """Task A inputs from the words ``sample_a`` drew, and the generator's spare half.
+def _digits(bits: np.random.BitGenerator, n: int, windows: int, drawn: np.ndarray) -> np.ndarray:
+    """Task A inputs from the doubles of the words ``sample_a`` drew, and the generator's spare half.
 
     Each window takes ``integers(0, 4)`` digits then one ``integers(0, 2)``
-    parity bit, one 32-bit half each (the top two bits, the top bit).  A
-    spare half left before the run comes first; one left after it stays in
-    the generator, as numpy's ``has_uint32`` and ``uinteger``.
+    parity bit, one 32-bit half of a word each (the top two bits, the top
+    bit), the low half first.  A double d of a word w gives d 2**53 =
+    w >> 11 exactly, in which the halves' top bits are bits 19-20 and
+    51-52 and the high half is bits 21-52.  A spare half left before the
+    run comes first; one left after it stays in the generator, as numpy's
+    ``has_uint32`` and ``uinteger``.
     """
     state = bits.state
-    drawn = replay.halves(words)
-    if state["has_uint32"]:
-        drawn = np.concatenate([[np.uint64(state["uinteger"])], drawn])
+    words = (drawn * 2.0**53).astype(np.int64)  # w >> 11 of each word w
+    spare = state["has_uint32"]
+    tops = np.empty(spare + 2 * len(words), dtype=np.int64)  # each half's top two bits
+    if spare:
+        tops[0] = state["uinteger"] >> 30
+    tops[spare::2] = (words >> 19) & 3
+    tops[spare + 1 :: 2] = words >> 51
     used = windows * n
-    halves = drawn[:used].reshape(windows, n).astype(np.int64)
+    halves = tops[:used].reshape(windows, n)
     digits = np.empty((windows, n), dtype=np.int64)
-    digits[:, :-1] = halves[:, :-1] >> 30
-    digits[:, -1] = digits[:, :-1].sum(axis=1) % 2 + 2 * (halves[:, -1] >> 31)
-    state["has_uint32"] = len(drawn) - used
+    digits[:, :-1] = halves[:, :-1]
+    digits[:, -1] = digits[:, :-1].sum(axis=1) % 2 + 2 * (halves[:, -1] >> 1)
+    state["has_uint32"] = len(tops) - used
     if len(words):
-        state["uinteger"] = int(words[-1] >> np.uint64(32))
+        state["uinteger"] = int(words[-1] >> 21)
     bits.state = state
     return digits
 
@@ -419,8 +464,9 @@ def simulate_run(params: ExperimentParams, rng: np.random.Generator) -> Runs:
     window carries an answer; they are excluded from all statistics.
 
     This order is the contract, but the engine makes none of these calls:
-    it replays them from raw 64-bit words (:mod:`qccp.replay`), giving the
-    same values and leaving ``rng.bit_generator.state`` as the calls would.
+    it replays them from ``random()`` doubles drawn in bulk, one per 64-bit
+    word (:mod:`qccp.replay`), giving the same values and leaving
+    ``rng.bit_generator.state`` as the calls would.
     That needs a bit generator with PCG64's word layout: PCG64 (numpy's
     default), PCG64DXSM, SFC64 or Philox; others raise ``TypeError``.
     """
@@ -433,7 +479,7 @@ def simulate_experiment(params: ExperimentParams, rng: np.random.Generator) -> R
     Each window makes the draws of :func:`simulate_run`, in its order, so
     the result, and the generator state after it, equal that many
     :func:`simulate_run` calls on the same generator, concatenated.  The
-    draws are replayed in bulk from raw words, with the bit generators
+    draws are replayed from doubles drawn in bulk, with the bit generators
     :func:`simulate_run` lists.  Returns every window in order (accepted and
     not); statistics must be computed over the accepted subset only, see
     :func:`qccp.stats.success_stats`.

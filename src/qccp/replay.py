@@ -1,13 +1,16 @@
-"""numpy's per-call draw algorithms, replayed over raw 64-bit generator words.
+"""numpy's per-call draws, replayed over ``random()`` doubles drawn in bulk.
 
-A numpy ``Generator`` turns its bit generator's 64-bit words into values:
-``random()`` takes one word, a bounded 32-bit integer one half of a word
-(low half first, the high half kept as a spare for the next 32-bit draw),
-``poisson`` as many words as its sampler consumes.  Replaying those
-algorithms over words drawn in bulk with ``bit_generator.random_raw`` gives
-the values the per-call methods give, bit for bit, and leaves the generator
-where they leave it.  Only bit generators that share PCG64's word layout
-(one 64-bit word per draw, split low half first) qualify.
+A numpy ``Generator`` makes each draw from its bit generator's 64-bit
+words: ``random()`` turns one word w into (w >> 11) 2**-53, a bounded
+32-bit integer takes one half of a word (low half first, the high half kept
+as a spare for the next 32-bit draw), and ``poisson`` as many words as its
+sampler consumes.  ``random()`` keeps the top 53 bits of each word, so
+doubles drawn in bulk carry the values the per-call methods would make from
+the same words, and the experiment engine (:mod:`qccp.experiment`) replays
+its windows from them.  Only bit generators that share PCG64's word layout
+(one 64-bit word per draw, split low half first) qualify.  This module
+checks the layout and holds numpy's Poisson sampler for lam >= 10, the one
+of its draws the engine does not write out inline.
 """
 
 from __future__ import annotations
@@ -18,8 +21,6 @@ import numpy as np
 
 REPLAYABLE = ("PCG64", "PCG64DXSM", "SFC64", "Philox")
 
-_LOW = np.uint64(0xFFFFFFFF)
-
 
 def check_replayable(bits: np.random.BitGenerator) -> None:
     # by name: looking the classes up would import numpy.random with qccp
@@ -29,43 +30,13 @@ def check_replayable(bits: np.random.BitGenerator) -> None:
         )
 
 
-def doubles(words: np.ndarray) -> np.ndarray:
-    """``random()`` of each word: its top 53 bits over 2**53."""
-    return np.multiply(words >> np.uint64(11), 2.0**-53)
+def poisson(d, p: int, end: int, lam: float) -> tuple[int, int]:
+    """``poisson(lam)`` over the doubles d[p:end] for lam >= 10: numpy's PTRS sampler.
 
-
-def halves(words: np.ndarray) -> np.ndarray:
-    """The 32-bit draws the words supply, in order: each word's low half, then its high half."""
-    out = np.empty(2 * len(words), dtype=np.uint64)
-    out[0::2] = words & _LOW
-    out[1::2] = words >> np.uint64(32)
-    return out
-
-
-def poisson(d, p: int, end: int, lam: float, exp_neg_lam: float) -> tuple[int, int]:
-    """``poisson(lam)`` over the doubles d[p:end]: numpy's ``random_poisson``.
-
-    No draw for lam = 0, a product of uniforms against ``exp_neg_lam`` =
-    exp(-lam) below 10, PTRS from 10 on.  Returns (count, position after
-    its draws), or (-1, end) when the doubles run out first.
+    Transformed rejection with squeeze (Hoermann 1993), as numpy's
+    ``random_poisson`` runs it from lam = 10 on.  Returns (count, position
+    after its draws), or (-1, end) when the doubles run out first.
     """
-    if lam >= 10.0:
-        return _poisson_ptrs(d, p, end, lam)
-    k = 0
-    prod = 1.0
-    while lam > 0.0:
-        if p == end:
-            return -1, end
-        prod *= d[p]
-        p += 1
-        if prod <= exp_neg_lam:
-            break
-        k += 1
-    return k, p
-
-
-def _poisson_ptrs(d, p: int, end: int, lam: float) -> tuple[int, int]:
-    """numpy's sampler for lam >= 10: transformed rejection with squeeze (Hoermann 1993)."""
     slam = math.sqrt(lam)
     loglam = math.log(lam)
     b = 0.931 + 2.53 * slam

@@ -56,10 +56,10 @@ def sample_a(n_parties: int, rng: np.random.Generator, size: int) -> np.ndarray:
 def _propose_b(n_parties: int, rng: np.random.Generator, count: int, limit: int | None = None):
     """One rejection round: uniform proposals and their accepted subset.
 
-    The round's words are ``count`` rows of N doubles, then ``count``
-    acceptance doubles.  ``random`` scaled in place by 2 pi gives the same
-    bits as ``uniform(0, 2 pi)``, which computes 0 + 2 pi * u;
-    :class:`qccp.experiment._Walk` replays exactly these words.  The round
+    The round draws ``count`` rows of N doubles, then ``count`` acceptance
+    doubles, one generator word each.  ``random`` scaled in place by 2 pi
+    gives the same bits as ``uniform(0, 2 pi)``, which computes 0 + 2 pi * u;
+    :class:`qccp.experiment._Walk` replays exactly these doubles.  The round
     runs ROW_BLOCK rows at a time through one reused buffer: a block's
     proposals come from ``rng`` and its acceptance doubles from a copy of
     ``rng`` moved ahead by count * N doubles (:func:`_skip`), so no array

@@ -217,16 +217,16 @@ def _rows(blocks: list[np.ndarray]) -> str:
     """The TSV rows of equal-length cell arrays side by side; a (rows, k) block gives k fields.
 
     The cells are copied into one byte matrix with their tabs and newlines,
-    and every NUL of it is dropped.
+    each cell as one fixed-width item, and every NUL of it is dropped.
     """
     rows = len(blocks[0])
     out = np.empty((rows, sum((c.itemsize + 1) * (c.size // rows) for c in blocks)), np.uint8)
     start = 0
     for cells in blocks:
-        chars = cells.reshape(rows, -1).view(np.uint8).reshape(rows, -1, cells.itemsize)
-        k, width = chars.shape[1:]
+        width = cells.itemsize
+        k = cells.size // rows
         fields = out[:, start : start + k * (width + 1)].reshape(rows, k, width + 1)
-        fields[:, :, :width] = chars
+        fields[:, :, :width].view(f"V{width}")[..., 0] = cells.reshape(rows, k).view(f"V{width}")
         fields[:, :, width] = ord("\t")
         start += k * (width + 1)
     out[:, -1] = ord("\n")

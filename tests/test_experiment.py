@@ -1,6 +1,5 @@
 import dataclasses
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,7 +27,7 @@ from qccp import (
     task_value_batch,
     visibility_from_gamma,
 )
-from qccp import experiment, replay, sampling
+from qccp import experiment, sampling
 from qccp.experiment import _first_accepted, _simulate, split_targets
 
 from oracles import first_accepted_b
@@ -307,26 +306,37 @@ class TestReferenceEngine:
 
     @pytest.mark.parametrize("task", [Task.A, Task.B])
     @pytest.mark.parametrize("n", range(1, 7))
-    @pytest.mark.parametrize("mu", [0.5, 1.0, 3.0, 12.0])
+    @pytest.mark.parametrize("mu", [0.5, 1.0, 3.0, 9.99, 10.0, 12.0])
     def test_parties_and_trigger_means(self, monkeypatch, task, n, mu):
-        # mu 0.5 and 1 end on the target, 3 and 12 (numpy's PTRS sampler) on
-        # the window cap; small chunks put chunk ends inside windows
+        # mu 0.5 and 1 end on the target, 3 and up on the window cap; 9.99 is
+        # the last mu of the engine's inline product sampler and 10 the first
+        # of numpy's PTRS sampler.  Small chunks put chunk ends inside windows,
+        # and for task A inside a window's input words, on every bit generator
         monkeypatch.setattr(experiment, "CHUNK_WORDS", 64)
         params = ExperimentParams(task, n, 5000.0, mu / 5000.0, 0.6, 0.8, 40)
         assert_replays(params, generators(3, n, spare=n % 2 == 1), max_windows=200)
+        if (n, mu) in ((5, 1.0), (4, 12.0)):
+            for bit_generator in BIT_GENERATORS:
+                for spare in (False, True):
+                    assert_replays(params, generators(3, n, bit_generator, spare), max_windows=200)
 
-    def test_chunks_follow_the_words_read_at_low_acceptance(self, monkeypatch):
+    def test_chunks_follow_the_words_read_at_low_acceptance(self):
         # at mu = 12 one window in about 14,000 is accepted; each chunk still
-        # draws CHUNK_WORDS words, as one replay.doubles call.  A Philox
-        # generator counts the words read: four per counter step, less the
-        # 4 - buffer_pos words of its buffer not yet read
-        chunks = mock.Mock(wraps=replay.doubles)
-        monkeypatch.setattr(replay, "doubles", chunks)
-        rng = np.random.Generator(np.random.Philox(12))
+        # draws up to CHUNK_WORDS words, as one ``random`` call, which the
+        # generator counts.  Philox counts the words read: four per counter
+        # step, less the 4 - buffer_pos words of its buffer not yet read
+        class CountingGenerator(np.random.Generator):
+            chunks = 0
+
+            def random(self, *args, **kwargs):
+                self.chunks += 1
+                return super().random(*args, **kwargs)
+
+        rng = CountingGenerator(np.random.Philox(12))
         simulate_experiment(ExperimentParams(Task.B, 5, 5000.0, 0.0024, 0.6, 0.8, 1), rng)
         state = rng.bit_generator.state
         read = 4 * int(state["state"]["counter"][0]) + state["buffer_pos"] - 4
-        assert chunks.call_count <= -(-read // experiment.CHUNK_WORDS) + 1
+        assert rng.chunks <= -(-read // experiment.CHUNK_WORDS) + 1
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_rounds_that_reject_every_proposal(self, monkeypatch, n):
