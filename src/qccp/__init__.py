@@ -8,6 +8,7 @@ reproduction-grade statistics.
 from .classical import (
     AscentResult,
     BruteForceResult,
+    CertifiedBound,
     ClassicalBound,
     CommTree,
     GeneralProtocolA,
@@ -15,6 +16,7 @@ from .classical import (
     ProductStrategyA,
     ProductStrategyB,
     brute_force_bound_a,
+    certify_bound_a,
     classical_bound,
     coordinate_ascent_b,
     exhaust_product_strategies_a,
@@ -59,6 +61,7 @@ from .sampling import (
 from .stats import (
     Histogram,
     SuccessStats,
+    binomial_probability,
     block_fractions,
     block_histogram,
     sigma_violation,

@@ -11,13 +11,18 @@ protocol whose answer ignores some y_k is blind guessing.  Forcing every
 message to carry its sender's y_k collapses the answer to the product form
 ``prod_k a_k(x_k) y_k`` with per-party sign functions a_k.  The fidelity of
 such a product strategy factorises over the parties too, as
-``|Re prod_k z_k| / norm`` (:func:`_product_fidelity`), for both tasks.  For
-small N this module also certifies the reduction itself over ALL general
-message-table protocols, product form or not.  The root's table, which
-enters the fidelity linearly, is maximised in closed form; so is every table
-of the last sender at once, by one matrix product.  Only the other senders'
-table combinations are enumerated, in batches of bounded size that each
-take one ``bincount`` and one matrix product.
+``|Re prod_k z_k| / norm`` (:func:`_product_fidelity`), for both tasks.
+
+The module also certifies the task A reduction itself over ALL general
+message-table protocols, product form or not, on any tree
+(:func:`certify_bound_a`).  Each sender's table is summarised by one
+Gaussian integer w_k, the fidelity with the best root table is the L1 norm
+of their product, and a "corner" protocol of product form reaches the
+maximum, so no table combination is enumerated.  The exhaustive search
+:func:`brute_force_bound_a` stays as its independent check for N <= 4: it
+maximises the root's table in closed form and every table of the last
+sender at once by one matrix product, and enumerates the other senders'
+table combinations in batches of bounded size.
 
 A general protocol passes its messages through :func:`_input_cells` over a
 batch of input rows, in single runs and Monte Carlo estimates alike, and the
@@ -33,12 +38,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
 from .sampling import enumerate_a, sample_inputs
 from .tasks import Task, as_task, check_domain, norm_b, row_blocks, task_value_batch, whole_array, whole_count
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 BRUTE_FORCE_MAX_PARTIES = 4
 EXHAUST_MAX_PARTIES = 10  # exhaustion holds all 4^N products at once: ~40 MB peak at N=10
@@ -497,6 +505,105 @@ def brute_force_bound_a(tree: CommTree) -> BruteForceResult:
     root = _best_root(np.bincount(state, weights=tw, minlength=math.prod(shapes[-1])))
     protocol = GeneralProtocolA(tree=tree, tables=(*senders, root.reshape(shapes[-1])))
     return BruteForceResult(best_fid, protocol, search_space)
+
+
+# --- the certified bound: one Gaussian integer per sender -----------------
+
+
+class CertifiedBound(NamedTuple):
+    max_fidelity: Fraction
+    protocol: GeneralProtocolA
+    sender_weights: tuple[complex, ...]
+    search_space: int
+
+
+def _cell_phases(children: int) -> np.ndarray:
+    """The exponent u of i^u = i^x * prod_j b_j at each (digit x, received) cell.
+
+    The received bits b_j are +-1, packed as in :class:`GeneralProtocolA`, so
+    their product is -1 = i^2 exactly when an odd number of them are set.
+    """
+    odd = np.array([bin(received).count("1") & 1 for received in range(1 << children)])
+    return (np.arange(4)[:, None] + 2 * odd) % 4
+
+
+def _sender_weight(table: np.ndarray) -> complex:
+    """w = sum of i^x * prod_j b_j over the cells where a sender's (4, 2^c) table sends +1."""
+    phases = _cell_phases(table.shape[1].bit_length() - 1)
+    counts = np.bincount(phases[table == 1], minlength=4)
+    return complex(counts[0] - counts[2], counts[1] - counts[3])
+
+
+def _gaussian_product(ws) -> tuple[int, int]:
+    """(Re, Im) of a product of Gaussian integers, in Python ints, so exact at any size."""
+    re, im = 1, 0
+    for w in ws:
+        a, b = int(w.real), int(w.imag)
+        re, im = re * a - im * b, re * b + im * a
+    return re, im
+
+
+def certify_bound_a(tree: CommTree) -> CertifiedBound:
+    """Certified task A maximum over ALL general one-bit protocols on a tree.
+
+    No table combination is enumerated.  This is the tree-wise, exact form of
+    the product-form reduction of Brukner, Zukowski, Pan and Zeilinger
+    (PRL 92, 127901, 2004).  Over the 4^N digit tuples, the fidelity is
+    2/4^N * |sum_x Re(i^(sum x)) * answer(x)|, since Re i^(sum x) is the
+    target on even sums and 0 on odd ones.
+
+    - *The state map.*  For a sender k, let z_k be the sum of i^(digit sum of
+      k's subtree) over the subtree inputs on which k sends +1.  Over all of
+      a subtree's inputs these phases sum to 0, so the inputs on which k
+      sends -1 give -z_k, and a child's bit b_j = +-1 weighs in as b_j * z_j.
+      Hence z_k = w_k * prod_{children j} z_j, where w_k sums i^x * prod_j b_j
+      over k's (digit x, received) cells that send +1 (:func:`_sender_weight`).
+      At each digit the 2^c bit patterns split evenly between the products +1
+      and -1 (for c >= 1 children), so w_k is any Gaussian integer with
+      |Re w_k|, |Im w_k| <= 2^c, a square.
+    - *The root.*  The weight of root state (x, b) is then
+      Re(i^x * prod_j b_j * Z) times 2/4^N, with Z the product of w_k over
+      all N-1 senders.  Half of the root's 4 * 2^(c_r) states have a real
+      phase and half an imaginary one, so its best table (:func:`_best_root`)
+      scores 2^(c_r+1) * (|Re Z| + |Im Z|) * 2/4^N.
+    - *The maximum.*  With the other senders fixed, Z = w_k * P is linear in
+      w_k, and |Re Z| + |Im Z| is a norm of it, so it is convex in w_k and
+      greatest at a corner of w_k's square, i^r * 2^(c_k) * (1+i).  The
+      factors i^r leave that norm alone, so the maximum is taken at
+      Z = prod_k 2^(c_k) * (1+i).  The c_k and c_r add up to N-1, and
+      |Re| + |Im| of (1+i)^(N-1) is 2^(floor(N/2)), which gives
+      2^(1 - ceil(N/2)) on every tree.
+
+    The "corner" protocol reaches it: each sender sends +1 where
+    (x + 2 * [it heard an odd number of -1 bits]) mod 4 is 0 or 1, so its
+    w_k is 2^(c_k) * (1+i), and the root takes :func:`_best_root` of its
+    state weights.  Each message is g(x_k) times the product of the bits
+    heard, with g = +1 on digits 0 and 1, so the protocol is of product
+    form.  Its own fidelity is computed from its tables' w_k through the
+    state map, and a mismatch with the maximum raises.  ``search_space``
+    counts the protocols that the maximum covers, as
+    :func:`brute_force_bound_a` does, and ``sender_weights[k]`` is sender
+    k's w_k.  Z is kept in Python ints and the maximum is a Fraction, so
+    nothing is rounded whatever N is.
+    """
+    from fractions import Fraction  # here, not at import: it loads decimal, about 6 ms that only this needs
+
+    n = tree.n_parties
+    heard = [len(tree.children(k)) for k in range(n)]
+    senders = tuple(np.where(_cell_phases(c) < 2, 1, -1) for c in heard[:-1])
+    weights = tuple(_sender_weight(table) for table in senders)
+    re, im = _gaussian_product(weights)
+    phases = _cell_phases(heard[-1])
+    state = np.array([re, -im, -re, im], dtype=object)[phases].ravel()  # Re(i^u * Z), Python ints
+    root = _best_root(state)
+    corners = _gaussian_product(complex(1 << c, 1 << c) for c in heard[:-1])
+    scale = Fraction(2, 4**n)
+    max_fidelity = (2 << heard[-1]) * (abs(corners[0]) + abs(corners[1])) * scale
+    if abs((root * state).sum()) * scale != max_fidelity:
+        raise RuntimeError(f"the corner protocol on parents {tree.parents} misses the bound {max_fidelity}")
+    protocol = GeneralProtocolA(tree=tree, tables=(*senders, root.reshape(phases.shape)))
+    search_space = math.prod(1 << (4 << c) for c in heard)
+    return CertifiedBound(max_fidelity, protocol, weights, search_space)
 
 
 # --- coordinate ascent for task B ------------------------------------------

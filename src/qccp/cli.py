@@ -30,7 +30,7 @@ from .classical import (
     BRUTE_FORCE_MAX_PARTIES,
     MIN_GRID_CELLS,
     CommTree,
-    brute_force_bound_a,
+    certify_bound_a,
     classical_bound,
     exhaust_product_strategies_a,
     optimize_strategy_b,
@@ -187,14 +187,14 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 def cmd_certify(args: argparse.Namespace) -> int:
     tree = getattr(CommTree, args.tree)(args.parties)
-    result = brute_force_bound_a(tree)
+    result = certify_bound_a(tree)
     closed = classical_bound(Task.A, args.parties).fidelity
     payload = {
         "schema": "qccp-certify-v1",
         "task": "A",
         "n_parties": args.parties,
         "tree": args.tree,
-        "max_fidelity": result.max_fidelity,
+        "max_fidelity": float(result.max_fidelity),
         "closed_form": closed,
         "matches_closed_form": result.max_fidelity == closed,
         "search_space": result.search_space,
@@ -323,9 +323,9 @@ def _reproduction_checks(seed: int) -> list[Check]:
     add("quantum-fidelity-A", quantum_fidelity(Task.A, 5), 1.0, "exact")
     add("quantum-fidelity-B", quantum_fidelity(Task.B, 5), math.pi / 4, "abs 1e-12")
 
-    # certified brute-force reduction
+    # certified reduction over all general protocols
     for n, shape in ((2, "chain"), (3, "chain"), (3, "star")):
-        got = brute_force_bound_a(getattr(CommTree, shape)(n)).max_fidelity
+        got = certify_bound_a(getattr(CommTree, shape)(n)).max_fidelity
         add(f"certified-max-A-N{n}-{shape}", got, classical_bound(Task.A, n).fidelity, "exact")
 
     # product-strategy exhaustion at N=5
@@ -431,8 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parties", type=positive_int, default=5)
     common(p)
 
-    p = sub.add_parser("certify", help="brute-force the task A bound over all protocols")
-    p.add_argument(
+    p = sub.add_parser("certify", help="certify the task A bound over all protocols, with one that reaches it")
+    p.add_argument(  # the sizes that the brute-force search cross-checks in the tests
         "--parties", type=int, choices=range(2, BRUTE_FORCE_MAX_PARTIES + 1), default=3
     )
     p.add_argument("--tree", choices=("chain", "star"), default="chain")

@@ -1,4 +1,4 @@
-"""Success estimation, binomial errors, sigma violations and block histograms.
+"""Success estimation, binomial errors and pass chances, sigma violations and block histograms.
 
 The error model is the plain binomial (Wald) standard error
 sqrt(p(1-p)/n), which reproduces the published uncertainties; Wilson
@@ -66,6 +66,30 @@ def sigma_violation(stats: SuccessStats, classical_p: float) -> float:
     if stats.sigma <= 0.0:
         raise ValueError("sigma must be positive")
     return (stats.p_hat - real_in("classical_p", classical_p, 0.0, 1.0)) / stats.sigma
+
+
+def binomial_probability(n: int, p: float, predicate) -> float:
+    """Exact chance that a Binomial(n, p) count k satisfies ``predicate(k)``.
+
+    The experiment stops at n accepted windows, each a success with the same
+    chance p, so every check that reads only the success count passes with
+    such a chance.  Each term C(n, k) p^k (1-p)^(n-k) is taken in log space
+    through ``math.lgamma``, so no factorial overflows, and the terms that
+    pass are summed relative to the largest, so none underflows first.
+    """
+    n, p = whole_count("n", n), real_in("p", p, 0.0, 1.0)
+    if p in (0.0, 1.0):  # the count is certain
+        return float(bool(predicate(n if p == 1.0 else 0)))
+    logs = [
+        math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+        + k * math.log(p) + (n - k) * math.log1p(-p)
+        for k in range(n + 1)
+        if predicate(k)
+    ]
+    if not logs:
+        return 0.0
+    top = max(logs)
+    return min(1.0, math.exp(top) * math.fsum(math.exp(t - top) for t in logs))
 
 
 def wilson_interval(stats: SuccessStats, z: float = 1.0) -> tuple[float, float]:

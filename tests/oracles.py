@@ -163,6 +163,36 @@ def root_weights_a(tables, parents, digits: np.ndarray) -> np.ndarray:
     return np.bincount(cell(n - 1), weights=truth / len(digits), minlength=size)
 
 
+def subtree_weights_a(tables, parents) -> list[complex]:
+    """z_k of every sender k of a general task A protocol, by explicit count.
+
+    z_k is the sum of i^(digit sum of k's subtree) over the subtree's inputs
+    on which k sends +1.  Every party's message is computed recursively over
+    all 4^N digit tuples, odd sums included; each subtree input then appears
+    once per digit tuple of the other parties, and the sum is divided by
+    that count.
+    """
+    n = len(parents) + 1
+    digits = np.arange(4**n)[:, None] // 4 ** np.arange(n) % 4
+    children = [[c for c in range(n - 1) if parents[c] == k] for k in range(n)]
+
+    def message(k: int) -> np.ndarray:
+        received = sum((message(c) == -1) * 2**j for j, c in enumerate(children[k]))
+        return np.asarray(tables[k])[digits[:, k], received]
+
+    def subtree(k: int) -> list[int]:
+        return [k] + [d for c in children[k] for d in subtree(c)]
+
+    weights = []
+    for k in range(n - 1):
+        members = subtree(k)
+        phase = digits[:, members].sum(axis=1) % 4
+        counts = np.bincount(phase[message(k) == 1], minlength=4)
+        repeats = 4 ** (n - len(members))
+        weights.append(complex(counts[0] - counts[2], counts[1] - counts[3]) / repeats)
+    return weights
+
+
 def sign_table(index: int, shape: tuple[int, int]) -> np.ndarray:
     """The +-1 table whose entry e, in C order, is -1 where bit e of index is set."""
     bits = (index >> np.arange(shape[0] * shape[1])) & 1

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -16,6 +17,7 @@ from qccp import (
     RandomStream,
     Task,
     brute_force_bound_a,
+    certify_bound_a,
     classical_bound,
     coordinate_ascent_b,
     enumerate_a,
@@ -38,6 +40,7 @@ from qccp.classical import (
     _answers,
     _best_root,
     _last_sender_fidelities,
+    _sender_weight,
 )
 from oracles import (
     ascend_by_party_b,
@@ -51,6 +54,7 @@ from oracles import (
     root_weights_a,
     run_tables,
     sign_table,
+    subtree_weights_a,
 )
 
 TWO_OVER_PI = 2.0 / math.pi
@@ -566,6 +570,101 @@ class TestBruteForce:
                 tables[last] = sign_table(index, shapes[last])
                 want.append(np.abs(root_weights_a(tables, tree.parents, tuples)).sum())
             assert score(tables).tolist() == want
+
+
+def random_tree(n, rng):
+    """A uniformly drawn labelled tree on n parties rooted at party n-1: parent tuples with a cycle are redrawn."""
+    while True:
+        try:
+            return CommTree(n, tuple(rng.integers(0, n, size=n - 1)))
+        except ValueError:  # a self-loop or a cycle
+            pass
+
+
+def gaussian_product(ws):
+    z = 1 + 0j
+    for w in ws:
+        z *= w
+    return z
+
+
+def assert_state_map(tables, tree):
+    """Each sender's explicit subtree count is w_k times its children's, and the best root scores the L1 norm of Z."""
+    n = tree.n_parties
+    z = subtree_weights_a(tables, tree.parents)
+    for k in range(n - 1):
+        assert z[k] == _sender_weight(tables[k]) * gaussian_product(z[j] for j in tree.children(k))
+    big_z = gaussian_product(_sender_weight(table) for table in tables[:-1])
+    assert big_z == gaussian_product(z[j] for j in tree.children(n - 1))
+    v = root_weights_a(tables, tree.parents, np.array(even_sum_tuples(n)))
+    heard_by_root = len(tree.children(n - 1))
+    assert np.abs(v).sum() == 2 ** (heard_by_root + 1) * (abs(big_z.real) + abs(big_z.imag)) * 2 / 4**n
+
+
+def random_tables(tree, rng):
+    return [1 - 2 * rng.integers(0, 2, size=(4, 2 ** len(tree.children(k)))) for k in range(tree.n_parties)]
+
+
+def tree_id(tree):
+    return "parents-" + "".join(map(str, tree.parents))
+
+
+class TestCertifiedBound:
+    @pytest.mark.parametrize("tree", [*labelled_trees(2), *labelled_trees(3)], ids=tree_id)
+    def test_state_map_holds_for_every_table_of_every_sender(self, tree):
+        rng = np.random.default_rng(31)
+        for k in range(tree.n_parties - 1):
+            tables = random_tables(tree, rng)
+            shape = tables[k].shape
+            for index in range(2 ** (shape[0] * shape[1])):
+                tables[k] = sign_table(index, shape)
+                assert_state_map(tables, tree)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_state_map_holds_for_random_tables(self, n):
+        rng = np.random.default_rng(32 + n)
+        for tree in labelled_trees(n):
+            for _ in range(2):
+                assert_state_map(random_tables(tree, rng), tree)
+
+    @pytest.mark.parametrize("children", [0, 1])
+    def test_sender_weights_fill_the_square(self, children):
+        # every Gaussian integer with |Re|, |Im| <= 2^c is some table's w, and no other
+        shape, side = (4, 2**children), range(-(2**children), 2**children + 1)
+        reached = {_sender_weight(sign_table(i, shape)) for i in range(2 ** (4 << children))}
+        assert reached == {complex(a, b) for a in side for b in side}
+
+    @pytest.mark.parametrize("tree", [t for n in (2, 3, 4) for t in labelled_trees(n)], ids=tree_id)
+    def test_matches_brute_force(self, tree):
+        got, want = certify_bound_a(tree), brute_force_bound_a(tree)
+        assert got.max_fidelity == want.max_fidelity
+        assert got.search_space == want.search_space
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("shape", ["chain", "star", "random-1", "random-2"])
+    def test_corner_protocol_reaches_the_closed_form(self, n, shape):
+        if shape.startswith("random"):
+            tree = random_tree(n, np.random.default_rng([n, int(shape[-1])]))
+        else:
+            tree = getattr(CommTree, shape)(n)
+        result = certify_bound_a(tree)
+        want = Fraction(1, 2 ** ((n + 1) // 2 - 1))
+        assert result.max_fidelity == want == classical_bound(Task.A, n).fidelity
+        tables = result.protocol.tables
+        reached = fidelity_by_enumeration_a(lambda combo: run_tables(tables, tree.parents, combo), n)
+        assert reached == want
+        corners = [complex(2**c, 2**c) for c in (len(tree.children(k)) for k in range(n - 1))]
+        assert list(result.sender_weights) == corners == [_sender_weight(table) for table in tables[:-1]]
+
+    def test_exact_where_z_is_past_float_range(self):
+        # Z = (1+i) (2+2i)^1298 has parts near 2^1947
+        result = certify_bound_a(CommTree.chain(1300))
+        assert result.max_fidelity == Fraction(1, 2**649)
+
+    def test_a_witness_that_misses_the_bound_raises(self):
+        with mock.patch.object(classical, "_best_root", lambda v: np.ones(len(v), dtype=np.int64)):
+            with pytest.raises(RuntimeError, match="misses the bound 1/2"):
+                certify_bound_a(CommTree.star(3))
 
 
 class TestGeneralProtocolType:

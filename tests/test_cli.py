@@ -14,10 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qccp import (
-    PRESETS, Runs, Task, WindowChoice, classical_bound, cli, optimize_window, quantum,
+    PRESETS, CommTree, Runs, Task, WindowChoice, classical_bound, cli, optimize_window, quantum,
     success_stats, tsv, visibility_from_gamma,
 )
 from qccp.cli import main
+from oracles import even_sum_tuples, run_tables, task_value_a
 from support import run_cli
 
 
@@ -112,22 +113,22 @@ class TestCertify:
         assert payload["max_fidelity"] == payload["closed_form"] == 0.5
         assert payload["matches_closed_form"] is True
 
-    # sha256 of the certify report, recorded from the search that ran one
-    # bincount pass per sender-table combination: a change to the maximum,
-    # the argmax tables or the format shows here
+    # sha256 of the certify report, recorded when the report's argmax_tables
+    # became the corner protocol of the Gaussian-integer certifier: a change
+    # to the maximum, the protocol or the format shows here
     GOLDEN_SHA256 = {
         ("2", "chain", "structured-record"):
-            "d8bbf900f996993d0158e4e3f699e1b57df4a17dd6709ce4845baa293ab9417f",
+            "dc1ff1158f9ae0e1943c578ac43456b7a75718a72b82835e988624d811a1b713",
         ("2", "chain", "delimited-table"):
-            "5019bab4f4c0f92eb923992075ba243b5cd64327c64c8c8a70cdf9aa4bbbfcd3",
+            "4add66ae8106de5ac4b3a888fd6e2683335087a644f132b36b92076e778202fe",
         ("3", "chain", "structured-record"):
-            "f027afc1dbfd28a85d964ccc43b492feaeb71c0cec3421b0848535b2a8c5b09e",
+            "fa34964a64e4be41ad2355183dcd6a0682b3b921e5895250076b6132ac900f52",
         ("3", "chain", "delimited-table"):
-            "80c3f048e1646f6e8eae098b3eb86465ff1287eb0f334e46e4918d70e4906495",
+            "dbea2f722b9d9e32c29339bef356e984ba47c2468caaa02891f8991b5f934eed",
         ("3", "star", "structured-record"):
-            "4cda65810114faf1472e364afb3ed92c51e2f5a50ed13b1b53a8266147da8037",
+            "8f258f13dff59ec1bea12d2fe63b54bcd81e29c1e49084651c7ac4197652bb8a",
         ("3", "star", "delimited-table"):
-            "72deb39ff145814fc01d35035e8342f4da42a7a0dea0dbd5f4248c4e6a49b717",
+            "9cb94e053943cb4f1f9817c738a0cec37434746e8fe3e7f6cb1de355c390df68",
     }
 
     @pytest.mark.parametrize("parties, tree, fmt", sorted(GOLDEN_SHA256))
@@ -140,6 +141,17 @@ class TestCertify:
         assert code == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == self.GOLDEN_SHA256[parties, tree, fmt]
+
+    @pytest.mark.parametrize("parties", ["2", "3", "4"])
+    @pytest.mark.parametrize("tree", ["chain", "star"])
+    def test_argmax_tables_reach_the_reported_maximum(self, capsys, parties, tree):
+        code, out = run_cli(capsys, "certify", "--parties", parties, "--tree", tree)
+        assert code == 0
+        payload = json.loads(out)
+        parents = getattr(CommTree, tree)(int(parties)).parents
+        tuples = even_sum_tuples(int(parties))
+        score = sum(task_value_a(t) * run_tables(payload["argmax_tables"], parents, t) for t in tuples)
+        assert abs(score) / len(tuples) == payload["max_fidelity"]
 
 
 class TestOptimize:

@@ -23,6 +23,7 @@ from qccp import (
     Runs,
     SuccessStats,
     Task,
+    binomial_probability,
     block_fractions,
     block_histogram,
     classical_bound,
@@ -94,6 +95,7 @@ CASES = {
     "SuccessStats.from_counts": (
         SuccessStats.from_counts, {"n": 10, "successes": 7}, lambda s: (s.n, s.successes),
     ),
+    "binomial_probability": (lambda n: binomial_probability(n, 0.3, lambda k: k < 4), {"n": 10}, no_ints),
     "block_fractions": (lambda block_size: block_fractions(RUNS, block_size), {"block_size": 5}, no_ints),
     "block_histogram": (lambda block_size: block_histogram(RUNS, block_size), {"block_size": 5},
                         lambda h: (h.block_size,)),

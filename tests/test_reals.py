@@ -27,6 +27,7 @@ from qccp import (
     SuccessStats,
     Task,
     WindowChoice,
+    binomial_probability,
     block_histogram,
     experimental_fidelity,
     gamma_from_visibility,
@@ -44,7 +45,7 @@ from qccp.sampling import RandomStream
 from support import plain, public_callables
 
 REAL_PARAMETERS = {
-    "trigger_rate", "window", "eta", "visibility", "gamma", "sigma", "classical_p", "z", "bin_width",
+    "trigger_rate", "window", "eta", "visibility", "gamma", "sigma", "classical_p", "z", "bin_width", "p",
 }
 RESULT = WindowChoice  # a named tuple whose fields carry these names, made by optimize_window
 
@@ -112,6 +113,9 @@ CASES = {
     "sigma_violation": (
         lambda classical_p: sigma_violation(STATS, classical_p),
         {"classical_p": 0.625}, {"classical_p": 1.5}, no_floats,
+    ),
+    "binomial_probability": (
+        lambda p: binomial_probability(10, p, lambda k: k < 4), {"p": 0.3}, {"p": 1.5}, no_floats,
     ),
     "wilson_interval": (lambda z: wilson_interval(STATS, z), {"z": 2.0}, {"z": 0.0}, no_floats),
     "block_histogram": (

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from qccp import (
     Histogram,
     Runs,
     SuccessStats,
+    binomial_probability,
     block_fractions,
     block_histogram,
     sigma_violation,
@@ -111,6 +113,49 @@ class TestSigmaViolation:
         assert sigma_violation(success_stats(records), 0.625) == sigma_violation(
             success_stats(flipped), 0.625
         )
+
+
+class TestBinomialProbability:
+    PREDICATES = {
+        "all": lambda k: True,
+        "none": lambda k: False,
+        "even": lambda k: k % 2 == 0,
+        "at-most-2": lambda k: k <= 2,
+        "band": lambda k: 3 <= k <= 5,
+        "top": lambda k: k >= 9,
+    }
+
+    @pytest.mark.parametrize("name", sorted(PREDICATES))
+    @pytest.mark.parametrize("n", [0, 1, 4, 12])
+    @pytest.mark.parametrize("p", [0.0, 0.1, 0.5, 0.625, 0.97, 1.0])
+    def test_matches_exact_enumeration(self, name, n, p):
+        predicate = self.PREDICATES[name]
+        q = Fraction(p)
+        want = sum(math.comb(n, k) * q**k * (1 - q) ** (n - k) for k in range(n + 1) if predicate(k))
+        assert binomial_probability(n, p, predicate) == pytest.approx(float(want), rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("n, p", [(6692, 0.7108), (18169, 0.6703), (1000, 1e-3), (50, 0.5)])
+    def test_matches_scipy(self, n, p):
+        binom = pytest.importorskip("scipy.stats").binom
+        ks = np.arange(n + 1)
+        sigma = math.sqrt(p * (1 - p) / n)
+        for predicate in (
+            lambda k: k <= n * p,
+            lambda k: k % 3 == 0,
+            lambda k: abs(k / n - p) < 1.5 * sigma,
+            lambda k: k >= n * p + 4 * sigma * n,
+        ):
+            mask = np.array([predicate(k) for k in ks])
+            want = float(binom.pmf(ks[mask], n, p).sum())
+            assert binomial_probability(n, p, predicate) == pytest.approx(want, rel=1e-9, abs=1e-300)
+
+    def test_far_tail_keeps_its_relative_precision(self):
+        # about 1e-19, from terms whose binomial coefficients reach 1e600
+        want = Fraction(sum(math.comb(2000, k) for k in range(1200, 2001)), 2**2000)
+        assert binomial_probability(2000, 0.5, lambda k: k >= 1200) == pytest.approx(float(want), rel=1e-12)
+
+    def test_whole_distribution_sums_to_one(self):
+        assert binomial_probability(18169, 0.6703, lambda k: True) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestWilson:
