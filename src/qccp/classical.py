@@ -105,6 +105,12 @@ class CommTree:
         return self._order
 
 
+def _check_tree(tree) -> None:
+    """Every tree argument's one rule, as :func:`qccp.tasks.as_task` for tasks: anything but a CommTree fails."""
+    if not isinstance(tree, CommTree):
+        raise TypeError(f"tree must be a CommTree, got {tree!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class _ProductStrategy:
     """Per-party +-1 sign tables, one row of ``_width`` entries (None: M >= 2) per party."""
@@ -155,6 +161,7 @@ class GeneralProtocolA:
     tables: tuple[np.ndarray, ...]
 
     def __post_init__(self):
+        _check_tree(self.tree)
         if len(self.tables) != self.tree.n_parties:
             raise ValueError("one table per party required")
         tables = tuple(whole_array(f"tables[{k}]", table) for k, table in enumerate(self.tables))
@@ -233,8 +240,13 @@ def _answers(protocol: Strategy, tree: CommTree, inputs: np.ndarray) -> np.ndarr
 
 def run_protocol(protocol: Strategy, tree: CommTree, inputs: Sequence) -> int:
     """The root's announced sign for one input tuple, as a one-row batch."""
-    if len(inputs) != tree.n_parties:
-        raise ValueError(f"expected {tree.n_parties} inputs, got {len(inputs)}")
+    _check_tree(tree)
+    try:
+        count = len(inputs)
+    except TypeError:
+        raise TypeError(f"inputs must be a sequence of {tree.n_parties} inputs, got {inputs!r}") from None
+    if count != tree.n_parties:
+        raise ValueError(f"expected {tree.n_parties} inputs, got {count}")
     _check_fit(protocol, tree)
     row = check_domain(_task_of(protocol), [inputs])
     return int(_answers(protocol, tree, row)[0])
@@ -298,6 +310,7 @@ def fidelity_mc(
 
     All n_samples input rows are drawn in one batch and answered together.
     """
+    _check_tree(tree)
     n_samples = whole_count("n_samples", n_samples, 1)
     wants = _task_of(protocol)
     if as_task(task) is not wants:
@@ -467,6 +480,7 @@ def brute_force_bound_a(tree: CommTree) -> BruteForceResult:
     its maxima, and batches are compared by that rank, since a later batch
     can hold a lower one when the last sender is not party N-2.
     """
+    _check_tree(tree)
     n = tree.n_parties
     if not 2 <= n <= BRUTE_FORCE_MAX_PARTIES:
         raise ValueError(f"brute force supports 2 <= N <= {BRUTE_FORCE_MAX_PARTIES}")
@@ -586,6 +600,7 @@ def certify_bound_a(tree: CommTree) -> CertifiedBound:
     k's w_k.  Z is kept in Python ints and the maximum is a Fraction, so
     nothing is rounded whatever N is.
     """
+    _check_tree(tree)
     from fractions import Fraction  # here, not at import: it loads decimal, about 6 ms that only this needs
 
     n = tree.n_parties

@@ -24,7 +24,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from . import replay, sampling
+from . import sampling
 from .quantum import _answers, _plus, quantum_fidelity
 from .sampling import RandomStream
 from .tasks import Task, accept_below, as_task, check_domain, real_in, task_value_batch, whole_array, whole_count
@@ -182,10 +182,13 @@ def experimental_fidelity(eta: float, gamma: float) -> float:
 # bounds working memory (see _simulate for the choice)
 CHUNK_WORDS = 1 << 16
 _TWO_PI = 2.0 * math.pi
+# the bit generators with the word layout simulate_run states, by name: looking
+# the classes up here would import numpy.random with qccp
+_REPLAYABLE = ("PCG64", "PCG64DXSM", "SFC64", "Philox")
 
 
 class _Walk:
-    """Window boundaries in a chunk of doubles, one per generator word, found window by window.
+    """Window boundaries in a chunk of the doubles :func:`simulate_run` replays, found window by window.
 
     Per window it reads only the few doubles that decide where the window
     ends: the trigger count's draws.  The input draws are skipped over:
@@ -223,7 +226,7 @@ class _Walk:
 
         The trigger count is numpy's ``random_poisson``: no draw for mu = 0,
         below 10 the product of uniforms until it reaches exp(-mu), which
-        runs here inline, and from 10 on PTRS (:func:`qccp.replay.poisson`).
+        runs here inline, and from 10 on PTRS (:func:`_poisson_ptrs`).
         """
         task_a, n, mu, round_words = self.task_a, self.n, self.mu, self.round_words
         exp_neg_mu, ptrs = math.exp(-mu), mu >= 10.0
@@ -240,7 +243,7 @@ class _Walk:
                 if ptrs:
                     if p > end:
                         return start
-                    k, p = replay.poisson(d, p, end, mu)  # (-1, end) if d runs out
+                    k, p = _poisson_ptrs(d, p, end, mu)  # (-1, end) if d runs out
                 else:
                     k = 0
                     if mu > 0.0:
@@ -295,6 +298,65 @@ class _Walk:
             p = self.run(memoryview(d), restart, len(d))
 
 
+def _poisson_ptrs(d, p: int, end: int, lam: float) -> tuple[int, int]:
+    """``poisson(lam)`` over the doubles d[p:end] for lam >= 10: numpy's PTRS sampler.
+
+    Transformed rejection with squeeze (Hoermann 1993), as numpy's
+    ``random_poisson`` runs it from lam = 10 on.  Returns (count, position
+    after its draws), or (-1, end) when the doubles run out first.
+    """
+    slam = math.sqrt(lam)
+    loglam = math.log(lam)
+    b = 0.931 + 2.53 * slam
+    a = -0.059 + 0.02483 * b
+    invalpha = 1.1239 + 1.1328 / (b - 3.4)
+    vr = 0.9277 - 3.6224 / (b - 2)
+    while p + 2 <= end:
+        U = d[p] - 0.5
+        V = d[p + 1]
+        p += 2
+        us = 0.5 - abs(U)
+        if us == 0.0:  # numpy's count is then floor(-inf) < 0: another round
+            continue
+        k = math.floor((2 * a / us + b) * U + lam + 0.43)
+        if us >= 0.07 and V <= vr:
+            return k, p
+        if k < 0 or (us < 0.013 and V > us):
+            continue
+        log_v = math.log(V) if V > 0.0 else -math.inf
+        if log_v + math.log(invalpha) - math.log(a / (us * us) + b) <= (
+            -lam + k * loglam - _loggam(k + 1)
+        ):
+            return k, p
+    return -1, end
+
+
+_LOGGAM_COEFFS = (
+    8.333333333333333e-02, -2.777777777777778e-03, 7.936507936507937e-04,
+    -5.952380952380952e-04, 8.417508417508418e-04, -1.917526917526918e-03,
+    6.410256410256410e-03, -2.955065359477124e-02, 1.796443723688307e-01,
+    -1.39243221690590e00,
+)
+
+
+def _loggam(x: float) -> float:
+    """numpy's ``random_loggam``: log Gamma(x) in its own operation order."""
+    if x == 1.0 or x == 2.0:
+        return 0.0
+    n = int(7 - x) if x < 7.0 else 0
+    x0 = x + n
+    x2 = (1.0 / x0) * (1.0 / x0)
+    gl0 = _LOGGAM_COEFFS[9]
+    for coeff in _LOGGAM_COEFFS[8::-1]:
+        gl0 *= x2
+        gl0 += coeff
+    gl = gl0 / x0 + 0.5 * 1.8378770664093453 + (x0 - 0.5) * math.log(x0) - x0
+    for _ in range(n):
+        gl -= math.log(x0 - 1.0)
+        x0 -= 1.0
+    return gl
+
+
 def _first_accepted(d: np.ndarray, starts: np.ndarray, n: int, proposals: int) -> np.ndarray:
     """Index of the first accepted proposal of each task B round, -1 if none is.
 
@@ -320,10 +382,8 @@ def _first_accepted(d: np.ndarray, starts: np.ndarray, n: int, proposals: int) -
 def _simulate(params: ExperimentParams, rng: np.random.Generator, max_windows: int) -> Runs:
     """Windows until n_target are accepted or max_windows have run.
 
-    Replays the per-window draws of :func:`simulate_run` from ``random()``
-    doubles drawn in bulk: each of the draws is made from one 64-bit word,
-    and ``random()`` of a word w is (w >> 11) 2**-53, which keeps every bit
-    task A's 32-bit draws read (see :func:`_digits`).  The doubles are drawn
+    Replays the per-window draws of :func:`simulate_run` from doubles drawn
+    in bulk, one per word, as its docstring states.  The doubles are drawn
     in chunks into one buffer, each after the doubles the last chunk left
     unread, moved to its front.  A chunk may hold more doubles than the run
     reads, so the generator state is saved before each draw; after the last
@@ -344,7 +404,8 @@ def _simulate(params: ExperimentParams, rng: np.random.Generator, max_windows: i
     presets only about 3% faster, for 1.3 MiB more peak RSS.
     """
     bits = rng.bit_generator
-    replay.check_replayable(bits)
+    if not isinstance(bits, tuple(getattr(np.random, name) for name in _REPLAYABLE)):
+        raise TypeError(f"cannot replay draws of {type(bits).__name__}; use one of {', '.join(_REPLAYABLE)}")
     task_a = params.task is Task.A
     n = params.n_parties
     walk = _Walk(params, max_windows, bits.state["has_uint32"] if task_a else 0)
@@ -421,10 +482,10 @@ def _digits(bits: np.random.BitGenerator, n: int, windows: int, drawn: np.ndarra
     """Task A inputs from the doubles of the words ``sample_a`` drew, and the generator's spare half.
 
     Each window takes ``integers(0, 4)`` digits then one ``integers(0, 2)``
-    parity bit, one 32-bit half of a word each (the top two bits, the top
-    bit), the low half first.  A double d of a word w gives d 2**53 =
-    w >> 11 exactly, in which the halves' top bits are bits 19-20 and
-    51-52 and the high half is bits 21-52.  A spare half left before the
+    parity bit, the top two bits and the top bit of one 32-bit half each
+    (halves as :func:`simulate_run` states).  A double d of a word w gives
+    d 2**53 = w >> 11 exactly, in which the halves' top bits are bits 19-20
+    and 51-52 and the high half is bits 21-52.  A spare half left before the
     run comes first; one left after it stays in the generator, as numpy's
     ``has_uint32`` and ``uinteger``.
     """
@@ -464,11 +525,16 @@ def simulate_run(params: ExperimentParams, rng: np.random.Generator) -> Runs:
     window carries an answer; they are excluded from all statistics.
 
     This order is the contract, but the engine makes none of these calls:
-    it replays them from ``random()`` doubles drawn in bulk, one per 64-bit
-    word (:mod:`qccp.replay`), giving the same values and leaving
-    ``rng.bit_generator.state`` as the calls would.
-    That needs a bit generator with PCG64's word layout: PCG64 (numpy's
-    default), PCG64DXSM, SFC64 or Philox; others raise ``TypeError``.
+    it replays them from ``random()`` doubles drawn in bulk, giving the same
+    values and leaving ``rng.bit_generator.state`` as the calls would.  The
+    word layout: each draw takes the bit generator's 64-bit words, one per
+    ``random()``, which makes (w >> 11) 2**-53 of a word w, its top 53 bits;
+    half a word per bounded 32-bit integer (task A's inputs), the low half
+    first and the high half kept as a spare for the next; and as many as
+    its sampler consumes per ``poisson``.  One double per word thus carries
+    every value the calls make.  The bit generators with that layout are
+    PCG64 (numpy's default), PCG64DXSM, SFC64 and Philox; others raise
+    ``TypeError``.
     """
     return _simulate(params, rng, max_windows=1)
 

@@ -49,11 +49,14 @@ def measure_probabilities(states) -> np.ndarray:
 
     Each pair is renormalised by its own sum (equal to the squared norm), so
     the probabilities sum to one exactly and a vanishing branch is exactly 0.
-    A row whose norm^2 is not 1 within NORM_TOL, or is NaN, is refused.
+    A row whose norm^2 is not 1 within NORM_TOL, or is NaN, is refused, as
+    are amplitudes that are not numbers (text, objects).
     """
     states = np.asarray(states)
     if states.ndim != 2 or states.shape[1] != 2:
         raise ValueError(f"expected (rows, 2) amplitudes, got shape {states.shape}")
+    if states.dtype.kind not in "biufc":
+        raise ValueError(f"amplitudes must be numbers, got dtype {states.dtype}")
     amp0, amp1 = states.T
     probs = np.abs(np.stack([amp0 + amp1, amp0 - amp1], axis=1)) ** 2 / 2.0
     total = probs.sum(axis=1, keepdims=True)

@@ -136,6 +136,11 @@ class TestRunProtocol:
         with pytest.raises(ValueError):
             run_protocol(sign_tables(0, 2), CommTree.chain(3), (0, 0, 2))
 
+    @pytest.mark.parametrize("inputs", [5, None, 2.5])
+    def test_inputs_that_are_not_a_sequence_are_named(self, inputs):
+        with pytest.raises(TypeError, match=f"^inputs must be a sequence of 3 inputs, got {inputs}$"):
+            run_protocol(sign_tables(0, 3), CommTree.chain(3), inputs)
+
 
 class TestFidelityExactA:
     def test_perfect_n2_strategy(self):

@@ -153,6 +153,15 @@ class TestCertify:
         score = sum(task_value_a(t) * run_tables(payload["argmax_tables"], parents, t) for t in tuples)
         assert abs(score) / len(tuples) == payload["max_fidelity"]
 
+    def test_parties_keep_their_own_range(self, capsys):
+        # the CLI's 2..4 is its own, not the brute-force search's limit
+        assert not hasattr(cli, "BRUTE_FORCE_MAX_PARTIES")
+        for parties in ("1", "5"):
+            with pytest.raises(SystemExit) as exc:
+                main(["certify", "--parties", parties])
+            assert exc.value.code == 2
+            assert f"invalid choice: {parties} (choose from 2, 3, 4)" in capsys.readouterr().err
+
 
 class TestOptimize:
     def test_small_search(self, capsys, tmp_path):

@@ -69,6 +69,11 @@ class TestStatesAndGates:
         with pytest.raises(ValueError, match="shape"):
             measure_probabilities([INV_SQRT2, INV_SQRT2])
 
+    def test_measure_refuses_amplitudes_that_are_not_numbers(self):
+        for states in ([["a", "b"]], np.array([[INV_SQRT2, None]], dtype=object)):
+            with pytest.raises(ValueError, match="^amplitudes must be numbers, got dtype"):
+                measure_probabilities(states)
+
     def test_measure_examples(self):
         # single party holding the whole phase sum
         p_plus, p_minus = measure_probabilities(final_state(Task.B, [[math.pi / 3]]))[0]
